@@ -1,4 +1,4 @@
-//! Thin blocking client for `polychronyd`, the verification daemon.
+//! Thin blocking client for the `polychrony serve` verification daemon.
 //!
 //! One [`Client`] owns one connection (unix socket or TCP) and speaks the
 //! `polychrony-wire-v1` protocol from [`polywire`]. The API is
@@ -69,7 +69,7 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClientError::Connect { endpoint, source } => {
-                write!(f, "cannot connect to polychronyd at {endpoint}: {source}")
+                write!(f, "cannot connect to the daemon at {endpoint}: {source}")
             }
             ClientError::Wire(e) => write!(f, "{e}"),
             ClientError::Daemon(message) => write!(f, "daemon refused the request: {message}"),

@@ -84,7 +84,7 @@ pub use options::{
     PropertySpec, ScheduleOptions, SessionOptions, SimulateOptions, TranslateOptions, VcdCapture,
     VerificationOptions, VerificationScope,
 };
-pub use pipeline::{ToolChain, ToolChainOptions};
+pub use pipeline::ToolChain;
 pub use polyobs::{
     CollectionMode, Collector, JsonLinesSink, PhaseRecord, ProgressBridge, ProgressReporter,
     ProgressUpdate, RunRecord,

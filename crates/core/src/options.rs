@@ -15,7 +15,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use polyverify::{Domain, FrontierMode, Property};
+use polyverify::{Domain, Property, VerifyOptions};
 use sched::SchedulingPolicy;
 
 use crate::error::CoreError;
@@ -211,18 +211,11 @@ pub struct VerificationOptions {
     /// standard safety properties in every scope (per-thread and product).
     /// Each expression must parse (see [`PropertySpec::parse`]).
     pub properties: Vec<PropertySpec>,
-    /// How each exploration level is distributed over the workers:
-    /// work-stealing frontier deques (the default fast path) or contiguous
-    /// barrier chunks. Verdicts are identical either way.
-    pub frontier: FrontierMode,
     /// Clock-calculus pruning: the schedule's affine dispatch clocks are
     /// exported as a feasibility oracle that skips free-mode input
     /// valuations where a thread provably cannot dispatch, and the product
     /// memoizes per-component resolved instants.
     pub pruning: bool,
-    /// Initial capacity (in states) of the state interner. Must be at
-    /// least 1; the interner grows past it on demand.
-    pub interner_capacity: usize,
     /// The state-space domain: [`Domain::Concrete`] explores exact states,
     /// [`Domain::Interval`] widens property-invisible monotone counters so
     /// unbounded-counter spaces can close with a genuine proof (see
@@ -231,9 +224,6 @@ pub struct VerificationOptions {
     /// Under [`Domain::Interval`], drops every property-invisible counter
     /// slot from the canonical state key instead of widening it.
     pub project_counters: bool,
-    /// Widening threshold of the interval domain: counter values above it
-    /// saturate. Must be at least 1.
-    pub widen_threshold: i64,
 }
 
 impl Default for VerificationOptions {
@@ -244,12 +234,9 @@ impl Default for VerificationOptions {
             hyperperiods: 1,
             scope: VerificationScope::PerThread,
             properties: Vec::new(),
-            frontier: FrontierMode::default(),
             pruning: true,
-            interner_capacity: 4096,
             domain: Domain::Concrete,
             project_counters: false,
-            widen_threshold: 8,
         }
     }
 }
@@ -275,21 +262,28 @@ impl VerificationOptions {
                 "verify.hyperperiods must be at least 1 (got 0)".into(),
             ));
         }
-        if self.interner_capacity == 0 {
-            return Err(CoreError::InvalidOptions(
-                "verify.interner_capacity must be at least 1 (got 0)".into(),
-            ));
-        }
-        if self.widen_threshold < 1 {
-            return Err(CoreError::InvalidOptions(format!(
-                "verify.widen_threshold must be at least 1 (got {})",
-                self.widen_threshold
-            )));
-        }
         for spec in &self.properties {
             spec.parse()?;
         }
         Ok(())
+    }
+
+    /// The engine options of one exploration of this phase: the phase's
+    /// worker count, pruning and domain, the given depth `bound` and the
+    /// session's telemetry `collector`. The only place the phase options
+    /// are mapped onto [`VerifyOptions`].
+    pub(crate) fn engine_options(
+        &self,
+        bound: usize,
+        collector: &polyobs::Collector,
+    ) -> VerifyOptions {
+        VerifyOptions::default()
+            .with_workers(self.workers)
+            .with_depth_bound(bound)
+            .with_pruning(self.pruning)
+            .with_domain(self.domain)
+            .with_project_counters(self.project_counters)
+            .with_collector(collector.clone())
     }
 }
 
@@ -373,14 +367,6 @@ mod tests {
         options.verify.hyperperiods = 0;
         let err = options.validate().unwrap_err();
         assert!(err.to_string().contains("verify.hyperperiods"), "{err}");
-
-        let mut options = SessionOptions::default();
-        options.verify.interner_capacity = 0;
-        let err = options.validate().unwrap_err();
-        assert!(
-            err.to_string().contains("verify.interner_capacity"),
-            "{err}"
-        );
 
         let mut options = SessionOptions::default();
         options.translate.default_queue_size = 0;

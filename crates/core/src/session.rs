@@ -53,7 +53,7 @@ use polyobs::{Collector, PhaseRecord, RunRecord};
 use polysim::{SimulationReport, Simulator};
 use polyverify::{
     InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property,
-    VerificationOutcome, Verifier, VerifyOptions,
+    VerificationOutcome, Verifier,
 };
 use sched::{export_affine_clocks, AffineExport, BaselineReport, StaticSchedule, TaskSet};
 use signal_moc::analysis::StaticAnalysisReport;
@@ -670,16 +670,10 @@ impl Simulated {
         for unit in &self.thread_units {
             let verify_inputs = unit.model.timing_trace(&self.schedule, 1);
             let bound = verify_inputs.len() * self.options.verify.hyperperiods as usize;
-            let mut options = VerifyOptions::default()
-                .with_workers(self.options.verify.workers)
-                .with_depth_bound(bound)
-                .with_frontier(self.options.verify.frontier)
-                .with_pruning(self.options.verify.pruning)
-                .with_interner_capacity(self.options.verify.interner_capacity)
-                .with_domain(self.options.verify.domain)
-                .with_project_counters(self.options.verify.project_counters)
-                .with_widen_threshold(self.options.verify.widen_threshold)
-                .with_collector(self.options.collector.clone());
+            let mut options = self
+                .options
+                .verify
+                .engine_options(bound, &self.options.collector);
             if let Some(relation) = dispatch_clocks.relation(&unit.model.thread_name) {
                 let mut oracle = polyverify::DispatchFeasibility::new();
                 oracle.insert("Dispatch", *relation);
@@ -810,16 +804,9 @@ impl Simulated {
         let bound = system.horizon() * self.options.verify.hyperperiods as usize;
         let verifier = ProductVerifier::new(
             system,
-            VerifyOptions::default()
-                .with_workers(self.options.verify.workers)
-                .with_depth_bound(bound)
-                .with_frontier(self.options.verify.frontier)
-                .with_pruning(self.options.verify.pruning)
-                .with_interner_capacity(self.options.verify.interner_capacity)
-                .with_domain(self.options.verify.domain)
-                .with_project_counters(self.options.verify.project_counters)
-                .with_widen_threshold(self.options.verify.widen_threshold)
-                .with_collector(self.options.collector.clone()),
+            self.options
+                .verify
+                .engine_options(bound, &self.options.collector),
         )?;
         let outcome = verifier.verify(&properties)?;
         Ok(VerifiedProduct {

@@ -1,5 +1,5 @@
-//! `polychronyd` — verification as a service for the polychronous tool
-//! chain.
+//! `polychrony_server` — verification as a service for the polychronous
+//! tool chain, run from the command line as `polychrony serve`.
 //!
 //! The daemon wraps the staged pipeline of `polychrony_core` behind the
 //! `polychrony-wire-v1` protocol ([`polywire`]): clients submit AADL
@@ -22,7 +22,7 @@
 //! * **Observable**: the daemon-level [`Collector`](polyobs::Collector)
 //!   carries `cache.hits.*` / `cache.misses` counters, the
 //!   `daemon.queue_depth` / `daemon.running` gauges and per-job
-//!   `daemon.job` spans, and `polychronyd --trace-out` streams them as
+//!   `daemon.job` spans, and `polychrony serve --trace-out` streams them as
 //!   `polychrony-trace-v1` lines like every other front end.
 //!
 //! The library API ([`Daemon`]) is fully in-process — the tests drive it

@@ -234,6 +234,31 @@ fn an_invalid_spec_is_rejected_at_submission() {
     daemon.join();
 }
 
+/// A job log recorded while the options still carried the retired engine
+/// knobs (frontier discipline, interner sizing, widening threshold): its
+/// queued submission still replays and runs to a passing report.
+#[test]
+fn a_job_log_with_retired_verify_keys_still_replays() {
+    let dir = std::env::temp_dir().join(format!("polychrony-legacy-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let log = dir.join("jobs.log");
+    std::fs::write(&log, include_str!("fixtures/legacy_job_log.jsonl")).expect("write log");
+
+    let daemon = Daemon::new(DaemonConfig {
+        workers: 1,
+        log_path: Some(log.clone()),
+        ..DaemonConfig::default()
+    })
+    .expect("daemon replays the log");
+    let report = wait_report(&daemon, 1);
+    assert_eq!(report.error, None);
+    assert!(report.passed);
+
+    daemon.request_shutdown();
+    daemon.join();
+    let _ = std::fs::remove_file(&log);
+}
+
 #[test]
 fn the_job_log_replays_finished_jobs_and_requeues_unfinished_ones() {
     let dir = std::env::temp_dir().join(format!("polychronyd-log-{}", std::process::id()));

@@ -255,7 +255,9 @@ pub fn task_set_from_threads(threads: &[ThreadInstance]) -> Result<TaskSet, Task
 }
 
 /// Generates the timing-signal input trace for a translated thread over
-/// `hyperperiods` repetitions of the schedule.
+/// `hyperperiods` repetitions of the schedule: the trace over `h`
+/// hyper-periods is exactly `h` copies of the one-hyper-period trace, the
+/// periodic input that verification wraps its phase around.
 ///
 /// For the thread named `thread`, the produced trace drives, at every tick:
 /// * `Dispatch` — true at the job's dispatch tick;
@@ -293,13 +295,17 @@ pub fn schedule_to_timing_trace(
             trace.set(t, name(&format!("{port}_output_time")), Value::Bool(false));
         }
     }
+    // A job completing on the hyper-period boundary resumes (and releases
+    // its outputs) on the last tick of its own repetition, never on the
+    // next repetition's first tick.
+    let last = schedule.hyperperiod - 1;
     for rep in 0..hyperperiods {
         let base = rep * schedule.hyperperiod;
         for entry in schedule.entries_for(thread) {
             let at = |tick: u64| (base + tick) as usize;
             trace.set(at(entry.dispatch), name("Dispatch"), Value::Bool(true));
             trace.set(
-                at(entry.completion.min(horizon - 1)),
+                at(entry.completion.min(last)),
                 name("Resume"),
                 Value::Bool(true),
             );
@@ -315,7 +321,7 @@ pub fn schedule_to_timing_trace(
             }
             for port in out_ports {
                 trace.set(
-                    at(entry.output_release.min(horizon - 1)),
+                    at(entry.output_release.min(last)),
                     name(&format!("{port}_output_time")),
                     Value::Bool(true),
                 );
@@ -396,6 +402,42 @@ mod tests {
             })
             .collect();
         assert_eq!(resumes.len(), 12);
+    }
+
+    #[test]
+    fn multi_period_traces_repeat_the_one_period_trace() {
+        // Full utilisation: `b` completes exactly on the hyper-period
+        // boundary, the job that a horizon-wide clamp let spill into the
+        // next repetition.
+        let tasks = TaskSet::new(vec![
+            PeriodicTask::new("a", 4, 4, 2),
+            PeriodicTask::new("b", 4, 4, 2),
+        ])
+        .unwrap();
+        let edf = StaticSchedule::synthesize(&tasks, SchedulingPolicy::EarliestDeadlineFirst);
+        let case_study = StaticSchedule::synthesize(
+            &case_study_tasks(),
+            SchedulingPolicy::EarliestDeadlineFirst,
+        );
+        let full = edf.unwrap();
+        assert!(full
+            .entries_for("b")
+            .iter()
+            .any(|e| e.completion == full.hyperperiod));
+        let ins = ["pIn".to_string()];
+        let outs = ["pOut".to_string()];
+        for schedule in [full, case_study.unwrap()] {
+            let threads: std::collections::BTreeSet<&str> =
+                schedule.entries.iter().map(|e| e.task.as_str()).collect();
+            for thread in threads {
+                let trace = |h| schedule_to_timing_trace(&schedule, thread, "", &ins, &outs, h);
+                let once = trace(1);
+                for h in 1..=3u64 {
+                    let repeated: Trace = (0..h).flat_map(|_| once.iter().cloned()).collect();
+                    assert_eq!(trace(h), repeated, "{thread} over {h} hyper-periods");
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,9 +83,67 @@ use signal_moc::expr::{BinOp, Expr};
 use signal_moc::process::{Equation, Process};
 use signal_moc::value::Value;
 
+use crate::counterexample::{Counterexample, ReplayReport};
+use crate::explore::{VerificationOutcome, VerifyError, VerifyOptions};
 use crate::property::pattern_matches;
 use crate::state::encode_value;
 use crate::Property;
+
+/// Saturation point of widened counter slots under [`Domain::Interval`]:
+/// values above it collapse to the abstract `≥ 8`. At least 1, so a
+/// saturated counter stays distinguishable from its initial value in the
+/// common `init 0` case.
+pub const WIDEN_THRESHOLD: i64 = 8;
+
+/// The strengthen-only gate shared by [`crate::Verifier::verify`] and
+/// [`crate::ProductVerifier::verify`].
+///
+/// Under [`Domain::Interval`] the gate plans the abstraction (`analyze`)
+/// and, unless it is the identity, runs the abstract exploration
+/// (`explore(Some(..))`). Every abstract counterexample is then
+/// re-concretized — its inputs are exact, abstraction only touches memory
+/// slots — and handed to `replay`, an execution path independent of the
+/// abstraction. If all replays reproduce, the abstract outcome stands,
+/// annotated with the gate's counters; any spurious or erroring replay
+/// abandons the abstraction and re-runs the fully concrete exploration
+/// (`explore(None)`), so no verdict can get worse than the explicit
+/// engine's. The concrete domain goes straight to `explore(None)`.
+pub(crate) fn strengthen_only<E>(
+    options: &VerifyOptions,
+    properties: &[Property],
+    analyze: impl FnOnce() -> Result<SlotAbstraction, VerifyError>,
+    explore: impl Fn(Option<&SlotAbstraction>) -> Result<VerificationOutcome, VerifyError>,
+    replay: impl Fn(&Counterexample) -> Result<ReplayReport, E>,
+) -> Result<VerificationOutcome, VerifyError> {
+    if properties.is_empty() {
+        return Err(VerifyError::NoProperties);
+    }
+    if options.domain != Domain::Interval {
+        return explore(None);
+    }
+    let abstraction = analyze()?;
+    if abstraction.is_identity() {
+        return explore(None);
+    }
+    let mut outcome = explore(Some(&abstraction))?;
+    let mut reconcretized = 0usize;
+    for (_, cex) in outcome.violations() {
+        reconcretized += 1;
+        if !matches!(replay(cex), Ok(report) if report.reproduced) {
+            return explore(None);
+        }
+    }
+    outcome.stats.projected_slots = abstraction.projected_slots();
+    outcome.stats.reconcretized = reconcretized;
+    let obs = &options.collector;
+    if obs.is_enabled() {
+        obs.counter("engine.projected_slots")
+            .add(abstraction.projected_slots() as u64);
+        obs.counter("engine.reconcretized")
+            .add(reconcretized as u64);
+    }
+    Ok(outcome)
+}
 
 /// The state-space domain the engine explores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -436,7 +494,6 @@ impl SlotAbstraction {
     ///   *process* namespace (port-link endpoints of a product component).
     /// * `project` — plan [`SlotPlan::Project`] for every abstractable
     ///   slot instead of widening only the monotone ones.
-    /// * `widen_threshold` — the saturation point for widened slots.
     /// * `expected_slots` — the evaluator's `memory_len()`; if the mirror
     ///   walk disagrees, the analysis degrades to the identity (all
     ///   concrete) rather than guessing at slot positions.
@@ -446,7 +503,6 @@ impl SlotAbstraction {
         prefix: &str,
         extra_reads: &[String],
         project: bool,
-        widen_threshold: i64,
         expected_slots: usize,
     ) -> Self {
         let reads = ReadSet::of_properties(properties);
@@ -537,7 +593,7 @@ impl SlotAbstraction {
                     SlotPlan::Project
                 } else if site.monotone {
                     SlotPlan::Widen {
-                        threshold: widen_threshold,
+                        threshold: WIDEN_THRESHOLD,
                     }
                 } else {
                     SlotPlan::Concrete
@@ -697,7 +753,6 @@ mod tests {
             "",
             &[],
             project,
-            8,
             evaluator.memory_len(),
         )
     }
@@ -825,7 +880,6 @@ mod tests {
             "",
             &[],
             false,
-            8,
             7, // wrong width
         );
         assert!(abs.is_identity());
@@ -843,7 +897,6 @@ mod tests {
             "th_",
             &[],
             true,
-            8,
             evaluator.memory_len(),
         );
         assert!(reads_counter.is_identity());
@@ -853,7 +906,6 @@ mod tests {
             "th_",
             &["count".to_string()],
             true,
-            8,
             evaluator.memory_len(),
         );
         assert!(link_touches_counter.is_identity());

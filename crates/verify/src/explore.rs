@@ -22,24 +22,16 @@ use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
 use crate::state::{KeyCodec, State};
 
-/// How a breadth-first level is distributed over the worker threads.
-///
-/// Both modes expand exactly the same states and produce bit-identical
-/// verdicts, counterexamples and counters — every merge in the engine is
-/// tie-broken by canonical key bytes, never by arrival order. The modes
-/// differ only in wall-clock behaviour on skewed frontiers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FrontierMode {
-    /// Split the level into contiguous chunks, one per worker. A worker
-    /// whose chunk happens to hold the expensive states finishes last while
-    /// the others idle.
-    Barrier,
-    /// Per-worker deques with work stealing: each worker drains its own
-    /// queue and steals from the others when empty, so skewed levels stay
-    /// balanced. The default.
-    #[default]
-    WorkStealing,
-}
+/// Cap on the number of distinct input valuations enumerated per instant
+/// in free mode; exceeding it truncates the enumeration (and downgrades
+/// `Proved` to a bounded verdict).
+const MAX_BRANCHING: usize = 256;
+
+/// Values enumerated for free integer inputs.
+const INT_DOMAIN: [i64; 2] = [0, 1];
+
+/// Values enumerated for free real inputs.
+const REAL_DOMAIN: [f64; 2] = [0.0, 1.0];
 
 /// Tuning knobs of the exploration engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,21 +48,6 @@ pub struct VerifyOptions {
     /// results stay deterministic under any worker count); the final level
     /// may therefore overshoot it by one level's worth of successors.
     pub max_states: usize,
-    /// Values enumerated for free integer inputs.
-    pub int_domain: Vec<i64>,
-    /// Values enumerated for free real inputs.
-    pub real_domain: Vec<f64>,
-    /// Cap on the number of distinct input valuations enumerated per instant
-    /// in free mode; exceeding it truncates the enumeration (and downgrades
-    /// `Proved` to a bounded verdict).
-    pub max_branching: usize,
-    /// Number of shards of the concurrent seen-set (the state interner).
-    pub shards: usize,
-    /// How each level is distributed over the workers; see [`FrontierMode`].
-    pub frontier: FrontierMode,
-    /// Initial capacity (in states) of the state interner; it grows beyond
-    /// this on demand. Clamped to at least 1.
-    pub interner_capacity: usize,
     /// Enables the clock-calculus pruning paths: free-mode candidate
     /// filtering through the dispatch-feasibility [`VerifyOptions::oracle`]
     /// and per-component step memoisation in the product verifier. The
@@ -91,21 +68,18 @@ pub struct VerifyOptions {
     pub collector: polyobs::Collector,
     /// The state-space domain: [`Domain::Concrete`] explores exact per-slot
     /// values; [`Domain::Interval`] widens isolated monotone counters at
-    /// [`VerifyOptions::widen_threshold`] so unbounded-counter spaces can
-    /// close with a genuine proof (see [`crate::domain`] and
-    /// `docs/SYMBOLIC.md`). Abstract counterexamples are re-concretized and
-    /// must replay before being reported; a failed replay falls back to the
-    /// concrete exploration, so verdicts can only strengthen.
+    /// [`WIDEN_THRESHOLD`](crate::domain::WIDEN_THRESHOLD) so
+    /// unbounded-counter spaces can close with a genuine proof (see
+    /// [`crate::domain`] and `docs/SYMBOLIC.md`). Abstract counterexamples
+    /// are re-concretized and must replay before being reported; a failed
+    /// replay falls back to the concrete exploration, so verdicts can only
+    /// strengthen.
     pub domain: Domain,
     /// Under [`Domain::Interval`], additionally drop every abstractable
     /// counter slot from the canonical key entirely (the `⊤` projection)
     /// instead of only widening the monotone ones. No effect in the
     /// concrete domain.
     pub project_counters: bool,
-    /// Saturation point of widened counter slots under
-    /// [`Domain::Interval`]: values above it collapse to the abstract
-    /// `≥ threshold`.
-    pub widen_threshold: i64,
 }
 
 impl Default for VerifyOptions {
@@ -114,18 +88,11 @@ impl Default for VerifyOptions {
             workers: 2,
             depth_bound: None,
             max_states: 1 << 20,
-            int_domain: vec![0, 1],
-            real_domain: vec![0.0, 1.0],
-            max_branching: 256,
-            shards: 16,
-            frontier: FrontierMode::default(),
-            interner_capacity: 4096,
             pruning: true,
             oracle: None,
             collector: polyobs::Collector::noop(),
             domain: Domain::Concrete,
             project_counters: false,
-            widen_threshold: 8,
         }
     }
 }
@@ -152,18 +119,6 @@ impl VerifyOptions {
     /// Sets the seen-set state cap.
     pub fn with_max_states(mut self, max_states: usize) -> Self {
         self.max_states = max_states.max(1);
-        self
-    }
-
-    /// Sets the frontier scheduling mode.
-    pub fn with_frontier(mut self, frontier: FrontierMode) -> Self {
-        self.frontier = frontier;
-        self
-    }
-
-    /// Sets the interner's initial capacity (clamped to at least 1).
-    pub fn with_interner_capacity(mut self, capacity: usize) -> Self {
-        self.interner_capacity = capacity.max(1);
         self
     }
 
@@ -206,14 +161,6 @@ impl VerifyOptions {
     /// (see [`VerifyOptions::project_counters`]).
     pub fn with_project_counters(mut self, project: bool) -> Self {
         self.project_counters = project;
-        self
-    }
-
-    /// Sets the widening threshold of the interval domain (clamped to at
-    /// least 1 so a saturated counter stays distinguishable from its
-    /// initial value in the common `init 0` case).
-    pub fn with_widen_threshold(mut self, threshold: i64) -> Self {
-        self.widen_threshold = threshold.max(1);
         self
     }
 }
@@ -296,9 +243,9 @@ pub struct PropertyVerdict {
 /// Counters describing one exploration run.
 ///
 /// Every field is deterministic: the same model and options produce the
-/// same stats under any worker count, frontier mode or telemetry
-/// collection mode. Nondeterministic measurements (steal counts, timings,
-/// rates) live in the [`VerifyOptions::collector`] instead.
+/// same stats under any worker count or telemetry collection mode.
+/// Nondeterministic measurements (steal counts, timings, rates) live in
+/// the [`VerifyOptions::collector`] instead.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExplorationStats {
     /// Number of distinct states inserted in the seen-set.
@@ -539,8 +486,8 @@ impl Verifier {
     /// mode, pruned by the clock calculus: synchronisation classes are
     /// all-or-nothing, mutually exclusive classes are never co-present, and a
     /// sub-clock is never present without its super-clock. Returns the
-    /// candidates and whether the enumeration was truncated by
-    /// [`VerifyOptions::max_branching`].
+    /// candidates and whether the enumeration was truncated by the
+    /// per-instant branching cap (256 valuations).
     ///
     /// # Errors
     ///
@@ -605,11 +552,11 @@ impl Verifier {
             let slots: Vec<(&str, Vec<Value>)> = present
                 .iter()
                 .flat_map(|&gi| group_list[gi].1.iter())
-                .map(|&(name, ty)| (name, self.domain_of(ty)))
+                .map(|&(name, ty)| (name, domain_of(ty)))
                 .collect();
             let mut indices = vec![0usize; slots.len()];
             loop {
-                if candidates.len() >= self.options.max_branching {
+                if candidates.len() >= MAX_BRANCHING {
                     truncated = true;
                     break 'masks;
                 }
@@ -639,38 +586,18 @@ impl Verifier {
         Ok((candidates, truncated))
     }
 
-    fn domain_of(&self, ty: ValueType) -> Vec<Value> {
-        match ty {
-            ValueType::Event => vec![Value::Event],
-            ValueType::Boolean => vec![Value::Bool(false), Value::Bool(true)],
-            ValueType::Integer => self
-                .options
-                .int_domain
-                .iter()
-                .map(|&i| Value::Int(i))
-                .collect(),
-            ValueType::Real => self
-                .options
-                .real_domain
-                .iter()
-                .map(|&r| Value::Real(r))
-                .collect(),
-            ValueType::Text => vec![Value::Text(String::new())],
-        }
-    }
-
     /// Explores the state space of the process over `space` and checks every
     /// property of `properties`, returning one verdict per property.
     ///
     /// The exploration is a depth-stratified parallel breadth-first search
     /// over the shared exploration core (`crate::engine`): states are
     /// interned to dense ids with incremental key hashing, and each level is
-    /// distributed over [`VerifyOptions::workers`] threads by the configured
-    /// [`FrontierMode`]. Counterexamples are always of minimal depth, and
-    /// verdicts, counterexample traces and state counts are bit-identical
-    /// under any worker count and frontier mode (equal-depth discovery races
-    /// are resolved by a canonical edge ordering, and each level's
-    /// violations are tie-broken the same way).
+    /// distributed over [`VerifyOptions::workers`] work-stealing threads.
+    /// Counterexamples are always of minimal depth, and verdicts,
+    /// counterexample traces and state counts are bit-identical under any
+    /// worker count (equal-depth discovery races are resolved by a canonical
+    /// edge ordering, and each level's violations are tie-broken the same
+    /// way).
     ///
     /// # Errors
     ///
@@ -683,66 +610,22 @@ impl Verifier {
         space: &InputSpace,
         properties: &[Property],
     ) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
-        if self.options.domain == Domain::Interval {
-            let abstraction = SlotAbstraction::analyze(
-                self.process(),
-                properties,
-                "",
-                &[],
-                self.options.project_counters,
-                self.options.widen_threshold,
-                self.evaluator.memory_len(),
-            );
-            if !abstraction.is_identity() {
-                let outcome = self.verify_explicit(space, properties, Some(&abstraction))?;
-                return self.reconcile(space, properties, outcome, &abstraction);
-            }
-        }
-        self.verify_explicit(space, properties, None)
-    }
-
-    /// The strengthen-only gate of the interval domain: every abstract
-    /// counterexample is re-concretized (its inputs are exact — abstraction
-    /// only touches memory slots) and replayed in the explicit simulator.
-    /// If all replays reproduce, the abstract outcome stands (annotated
-    /// with the gate's counters); any spurious or erroring replay abandons
-    /// the abstraction and re-runs today's fully concrete exploration, so
-    /// no verdict can get worse than the explicit engine's.
-    fn reconcile(
-        &self,
-        space: &InputSpace,
-        properties: &[Property],
-        mut outcome: VerificationOutcome,
-        abstraction: &SlotAbstraction,
-    ) -> Result<VerificationOutcome, VerifyError> {
-        let mut reconcretized = 0usize;
-        let mut confirmed = true;
-        for (_, cex) in outcome.violations() {
-            reconcretized += 1;
-            match cex.replay(self.process()) {
-                Ok(report) if report.reproduced => {}
-                _ => {
-                    confirmed = false;
-                    break;
-                }
-            }
-        }
-        if !confirmed {
-            return self.verify_explicit(space, properties, None);
-        }
-        outcome.stats.projected_slots = abstraction.projected_slots();
-        outcome.stats.reconcretized = reconcretized;
-        let obs = &self.options.collector;
-        if obs.is_enabled() {
-            obs.counter("engine.projected_slots")
-                .add(abstraction.projected_slots() as u64);
-            obs.counter("engine.reconcretized")
-                .add(reconcretized as u64);
-        }
-        Ok(outcome)
+        crate::domain::strengthen_only(
+            &self.options,
+            properties,
+            || {
+                Ok(SlotAbstraction::analyze(
+                    self.process(),
+                    properties,
+                    "",
+                    &[],
+                    self.options.project_counters,
+                    self.evaluator.memory_len(),
+                ))
+            },
+            |abstraction| self.verify_explicit(space, properties, abstraction),
+            |cex| cex.replay(self.process()),
+        )
     }
 
     /// One exploration pass: concrete when `abstraction` is `None`,
@@ -808,6 +691,17 @@ impl Verifier {
             properties,
             candidates_truncated,
         )
+    }
+}
+
+/// The values a free input of type `ty` ranges over.
+fn domain_of(ty: ValueType) -> Vec<Value> {
+    match ty {
+        ValueType::Event => vec![Value::Event],
+        ValueType::Boolean => vec![Value::Bool(false), Value::Bool(true)],
+        ValueType::Integer => INT_DOMAIN.into_iter().map(Value::Int).collect(),
+        ValueType::Real => REAL_DOMAIN.into_iter().map(Value::Real).collect(),
+        ValueType::Text => vec![Value::Text(String::new())],
     }
 }
 
@@ -1321,22 +1215,19 @@ mod tests {
         assert!(!interval.stats.truncated);
         assert!(interval.stats.widened > 0, "{:?}", interval.stats);
         assert_eq!(interval.stats.reconcretized, 0);
-        // Bit-identical across worker counts and frontier modes.
+        // Bit-identical across worker counts.
         for workers in [1usize, 2, 8] {
-            for frontier in [FrontierMode::Barrier, FrontierMode::WorkStealing] {
-                let again = Verifier::new(
-                    &process,
-                    VerifyOptions::default()
-                        .with_domain(Domain::Interval)
-                        .with_workers(workers)
-                        .with_frontier(frontier),
-                )
-                .unwrap()
-                .verify(&InputSpace::Free, &property)
-                .unwrap();
-                assert_eq!(interval.verdicts, again.verdicts);
-                assert_eq!(interval.stats, again.stats, "workers={workers}");
-            }
+            let again = Verifier::new(
+                &process,
+                VerifyOptions::default()
+                    .with_domain(Domain::Interval)
+                    .with_workers(workers),
+            )
+            .unwrap()
+            .verify(&InputSpace::Free, &property)
+            .unwrap();
+            assert_eq!(interval.verdicts, again.verdicts);
+            assert_eq!(interval.stats, again.stats, "workers={workers}");
         }
     }
 

@@ -44,7 +44,7 @@ use signal_moc::value::Value;
 use signal_moc::InstantView;
 
 use crate::counterexample::{Counterexample, ReplayReport};
-use crate::domain::{Domain, SlotAbstraction};
+use crate::domain::SlotAbstraction;
 use crate::engine::{self, Expander, Sink};
 use crate::explore::{VerificationOutcome, VerifyError, VerifyOptions};
 use crate::monitor::{compile_properties, CompiledProperty};
@@ -599,17 +599,13 @@ impl ProductVerifier {
     /// executable while [`Property::DeadlockFree`] is not among the checked
     /// properties.
     pub fn verify(&self, properties: &[Property]) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
-        if self.options.domain == Domain::Interval {
-            let abstraction = self.analyze_abstraction(properties)?;
-            if !abstraction.is_identity() {
-                let outcome = self.verify_with(properties, Some(&abstraction))?;
-                return self.reconcile(properties, outcome, &abstraction);
-            }
-        }
-        self.verify_with(properties, None)
+        crate::domain::strengthen_only(
+            &self.options,
+            properties,
+            || self.analyze_abstraction(properties),
+            |abstraction| self.verify_with(properties, abstraction),
+            |cex| self.replay(cex),
+        )
     }
 
     /// Per-component abstraction analysis, concatenated into the joint
@@ -638,49 +634,10 @@ impl ProductVerifier {
                 &format!("{}_", component.name),
                 &extra_reads,
                 self.options.project_counters,
-                self.options.widen_threshold,
                 evaluator.memory_len(),
             ));
         }
         Ok(SlotAbstraction::concat(parts))
-    }
-
-    /// The strengthen-only gate of the abstract product run: every abstract
-    /// counterexample must reproduce in a [`LockstepCoSim`] replay — an
-    /// execution path independent of the abstraction — before the outcome
-    /// is reported. A failed replay discards the abstraction and re-runs
-    /// the fully concrete product exploration.
-    fn reconcile(
-        &self,
-        properties: &[Property],
-        mut outcome: VerificationOutcome,
-        abstraction: &SlotAbstraction,
-    ) -> Result<VerificationOutcome, VerifyError> {
-        let mut reconcretized = 0usize;
-        let mut confirmed = true;
-        for (_, cex) in outcome.violations() {
-            reconcretized += 1;
-            match self.replay(cex) {
-                Ok(report) if report.reproduced => {}
-                _ => {
-                    confirmed = false;
-                    break;
-                }
-            }
-        }
-        if !confirmed {
-            return self.verify_with(properties, None);
-        }
-        outcome.stats.projected_slots = abstraction.projected_slots();
-        outcome.stats.reconcretized = reconcretized;
-        let obs = &self.options.collector;
-        if obs.is_enabled() {
-            obs.counter("engine.projected_slots")
-                .add(abstraction.projected_slots() as u64);
-            obs.counter("engine.reconcretized")
-                .add(reconcretized as u64);
-        }
-        Ok(outcome)
     }
 
     /// One product exploration pass: concrete when `abstraction` is `None`,

@@ -693,4 +693,43 @@ mod tests {
             assert_eq!(existing, Some(i));
         }
     }
+
+    #[test]
+    fn concurrent_interning_from_capacity_one_grows_every_shard() {
+        // The engine's workers intern into one shared table; starting at
+        // capacity 1 forces every shard to rehash while the others are
+        // being written. Each thread interns an overlapping key range, so
+        // fresh inserts and rediscoveries race on the same shards.
+        const THREADS: usize = 4;
+        const KEYS: usize = 500;
+        let interner: StateInterner<usize> = StateInterner::new(16, 1);
+        let ids: Vec<Vec<(u32, usize)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let interner = &interner;
+                    scope.spawn(move || {
+                        (0..KEYS)
+                            .map(|i| {
+                                let k = (i + t * KEYS / 2) % KEYS;
+                                let key = format!("state-{k}");
+                                let (id, _) =
+                                    interner.intern(fnv(key.as_bytes()), key.as_bytes(), || k);
+                                (id, k)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(interner.len(), KEYS);
+        let mut by_key = vec![None; KEYS];
+        for (id, k) in ids.into_iter().flatten() {
+            // Every thread saw the same id for the same key, and the id
+            // resolves to that key and the payload of its first insert.
+            assert_eq!(*by_key[k].get_or_insert(id), id);
+            assert_eq!(interner.payload(id), k);
+            assert!(interner.with_key(id, |bytes| bytes == format!("state-{k}").as_bytes()));
+        }
+    }
 }

@@ -17,7 +17,7 @@ use polychrony_core::polyverify::{
 };
 use polychrony_core::signal_moc::process::Process;
 use polychrony_core::signal_moc::trace::{Trace, TraceStep};
-use polychrony_core::{end_to_end_response_for, ArtifactCache, CacheOutcome, Simulated};
+use polychrony_core::{end_to_end_response_for, ArtifactCache, BatchJob, CacheOutcome, Simulated};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -165,6 +165,10 @@ fn check_spec(
         ));
     }
 
+    // Horizon oracle: one more simulated hyper-period only repeats the
+    // schedule, so a system that simulates must keep simulating.
+    horizon_oracle(&cache, &job)?;
+
     // Monitor oracle: seeded random past-time LTL formulas, compiled
     // monitors versus reference trace semantics.
     monitor_oracle(&simulated, seed)?;
@@ -182,6 +186,21 @@ fn check_spec(
     match fault {
         None => Ok(ScenarioOutcome::Passed),
         Some(kind) => inject_and_check(kind, &simulated, spec, seed),
+    }
+}
+
+fn horizon_oracle(cache: &ArtifactCache, job: &BatchJob) -> Result<(), Failure> {
+    let mut longer = job.options.clone();
+    longer.simulate.hyperperiods += 1;
+    match cache.simulated_for(&job.source, &job.root, &longer) {
+        Ok(_) => Ok(()),
+        Err(e) => Err(fail(
+            FindingKind::HorizonMismatch,
+            format!(
+                "simulates over {} hyper-period(s) but not over {}: {e}",
+                job.options.simulate.hyperperiods, longer.simulate.hyperperiods
+            ),
+        )),
     }
 }
 

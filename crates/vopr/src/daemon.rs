@@ -1,4 +1,4 @@
-//! Daemon load generation: fan generated jobs at a running `polychronyd`
+//! Daemon load generation: fan generated jobs at a running `polychrony serve`
 //! and cross-check every wire report against a local run of the same job.
 //!
 //! This is the `polychrony vopr --daemon` mode: the generator side of the

@@ -154,6 +154,9 @@ pub enum FindingKind {
     /// The concrete and interval verification domains disagreed on a
     /// verdict shape (kind or violation instant).
     DomainMismatch,
+    /// A system simulated over its configured hyper-periods but failed
+    /// to simulate over one more.
+    HorizonMismatch,
 }
 
 impl fmt::Display for FindingKind {
@@ -166,6 +169,7 @@ impl fmt::Display for FindingKind {
             FindingKind::ReplayFailed => "replay-failed",
             FindingKind::FaultUndetected => "fault-undetected",
             FindingKind::DomainMismatch => "domain-mismatch",
+            FindingKind::HorizonMismatch => "horizon-mismatch",
         })
     }
 }

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use polychrony_core::aadl::case_study::PRODUCER_CONSUMER_AADL;
-use polychrony_core::polyverify::{Domain, FrontierMode};
+use polychrony_core::polyverify::Domain;
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{
     BatchJob, CacheOutcome, CoreError, PropertySpec, SessionOptions, ToolChainReport, VcdCapture,
@@ -305,8 +305,8 @@ fn bool_field(v: &Json, key: &str) -> Result<bool, WireError> {
 }
 
 /// Encodes phase options as a JSON object with one key per option group;
-/// enum-valued options use the CLI's stable labels (`edf`, `work-stealing`,
-/// `per-thread`, …). The collector never crosses the wire.
+/// enum-valued options use the CLI's stable labels (`edf`, `per-thread`,
+/// `interval`, …). The collector never crosses the wire.
 pub fn options_to_json(options: &SessionOptions) -> Json {
     let policy = match options.schedule.policy {
         SchedulingPolicy::RateMonotonic => "rm",
@@ -321,10 +321,6 @@ pub fn options_to_json(options: &SessionOptions) -> Json {
     let scope = match options.verify.scope {
         VerificationScope::PerThread => "per-thread",
         VerificationScope::Product => "product",
-    };
-    let frontier = match options.verify.frontier {
-        FrontierMode::WorkStealing => "work-stealing",
-        FrontierMode::Barrier => "barrier",
     };
     let properties = Json::Arr(
         options
@@ -358,12 +354,7 @@ pub fn options_to_json(options: &SessionOptions) -> Json {
                 ("hyperperiods", num(options.verify.hyperperiods)),
                 ("scope", Json::Str(scope.into())),
                 ("properties", properties),
-                ("frontier", Json::Str(frontier.into())),
                 ("pruning", Json::Bool(options.verify.pruning)),
-                (
-                    "interner_capacity",
-                    num(options.verify.interner_capacity as u64),
-                ),
                 (
                     "domain",
                     Json::Str(options.verify.domain.as_str().to_string()),
@@ -371,10 +362,6 @@ pub fn options_to_json(options: &SessionOptions) -> Json {
                 (
                     "project_counters",
                     Json::Bool(options.verify.project_counters),
-                ),
-                (
-                    "widen_threshold",
-                    num(options.verify.widen_threshold as u64),
                 ),
             ]),
         ),
@@ -384,7 +371,8 @@ pub fn options_to_json(options: &SessionOptions) -> Json {
 /// Decodes [`options_to_json`] output. Missing groups and keys keep their
 /// defaults (a client can send `{}`); present keys must have the right
 /// shape and label, so a typoed policy is an error rather than a silently
-/// different run.
+/// different run. Unknown keys are ignored, so frames and job-log lines
+/// carrying options that no longer exist still decode.
 pub fn options_from_json(v: &Json) -> Result<SessionOptions, WireError> {
     let mut options = SessionOptions::default();
     if let Some(schedule) = v.get("schedule") {
@@ -446,18 +434,8 @@ pub fn options_from_json(v: &Json) -> Result<SessionOptions, WireError> {
                 })
                 .collect::<Result<_, _>>()?;
         }
-        if let Some(frontier) = verify.get("frontier") {
-            options.verify.frontier = match frontier.as_str() {
-                Some("work-stealing") => FrontierMode::WorkStealing,
-                Some("barrier") => FrontierMode::Barrier,
-                _ => return Err(frame_err(format!("unknown verify.frontier {frontier}"))),
-            };
-        }
         if verify.get("pruning").is_some() {
             options.verify.pruning = bool_field(verify, "pruning")?;
-        }
-        if verify.get("interner_capacity").is_some() {
-            options.verify.interner_capacity = u64_field(verify, "interner_capacity")? as usize;
         }
         if let Some(domain) = verify.get("domain") {
             options.verify.domain = domain
@@ -467,9 +445,6 @@ pub fn options_from_json(v: &Json) -> Result<SessionOptions, WireError> {
         }
         if verify.get("project_counters").is_some() {
             options.verify.project_counters = bool_field(verify, "project_counters")?;
-        }
-        if verify.get("widen_threshold").is_some() {
-            options.verify.widen_threshold = u64_field(verify, "widen_threshold")? as i64;
         }
     }
     Ok(options)
@@ -806,10 +781,8 @@ mod tests {
         options.schedule.policy = SchedulingPolicy::RateMonotonic;
         options.simulate.vcd = VcdCapture::Thread("prod".to_string());
         options.verify.scope = VerificationScope::Product;
-        options.verify.frontier = FrontierMode::Barrier;
         options.verify.domain = Domain::Interval;
         options.verify.project_counters = true;
-        options.verify.widen_threshold = 12;
         options.verify.properties = vec![PropertySpec::new("never raised(*Alarm*)")];
         let decoded = options_from_json(&options_to_json(&options)).unwrap();
         assert_eq!(decoded, options);
@@ -825,7 +798,7 @@ mod tests {
     fn bad_labels_are_rejected() {
         let bad = polyobs::json::parse(r#"{"schedule":{"policy":"fifo"}}"#).unwrap();
         assert!(matches!(options_from_json(&bad), Err(WireError::Frame(_))));
-        let bad = polyobs::json::parse(r#"{"verify":{"frontier":"queue"}}"#).unwrap();
+        let bad = polyobs::json::parse(r#"{"verify":{"domain":"octagon"}}"#).unwrap();
         assert!(matches!(options_from_json(&bad), Err(WireError::Frame(_))));
     }
 

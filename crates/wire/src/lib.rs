@@ -1,5 +1,5 @@
 //! The `polychrony-wire-v1` protocol: the frames spoken between the
-//! `polychrony` CLI and the `polychronyd` verification daemon.
+//! `polychrony` CLI and its verification daemon (`polychrony serve`).
 //!
 //! The protocol is deliberately primitive — length-prefixed line JSON over
 //! any byte stream (TCP or a unix socket) — so it can be driven from a

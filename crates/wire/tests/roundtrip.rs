@@ -4,7 +4,6 @@
 
 use std::io::BufReader;
 
-use polychrony_core::polyverify::FrontierMode;
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{PropertySpec, SessionOptions, VcdCapture, VerificationScope};
 use polyobs::ProgressUpdate;
@@ -37,13 +36,7 @@ fn roundtrip(frame: &Frame) -> Frame {
     decoded
 }
 
-fn options_variant(
-    policy: usize,
-    scope: bool,
-    barrier: bool,
-    vcd: usize,
-    n: u64,
-) -> SessionOptions {
+fn options_variant(policy: usize, scope: bool, vcd: usize, n: u64) -> SessionOptions {
     let mut options = SessionOptions::default();
     options.schedule.policy = match policy % 3 {
         0 => SchedulingPolicy::RateMonotonic,
@@ -65,13 +58,7 @@ fn options_variant(
     } else {
         VerificationScope::PerThread
     };
-    options.verify.frontier = if barrier {
-        FrontierMode::Barrier
-    } else {
-        FrontierMode::WorkStealing
-    };
     options.verify.pruning = !n.is_multiple_of(3);
-    options.verify.interner_capacity = (n % 1000 + 1) as usize;
     if n % 2 == 1 {
         options.verify.properties = vec![
             PropertySpec::new("never raised(*Alarm*)"),
@@ -88,7 +75,7 @@ proptest! {
     #[test]
     fn submit_frames_round_trip(
         (policy, vcd) in (0usize..3, 0usize..3),
-        (scope, barrier, watch) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (scope, watch) in (any::<bool>(), any::<bool>()),
         n in 0u64..10_000,
         name in prop::sample::select(names()),
         source in prop::option::of(prop::sample::select(names())),
@@ -98,7 +85,7 @@ proptest! {
                 name: name.to_string(),
                 source: source.map(str::to_string),
                 root: "sysProdCons.impl".to_string(),
-                options: options_variant(policy, scope, barrier, vcd, n),
+                options: options_variant(policy, scope, vcd, n),
             },
             watch,
         };
@@ -201,4 +188,25 @@ proptest! {
             prop_assert!(false, "junk decoded to {frame:?}");
         }
     }
+}
+
+/// A submit frame recorded from an encoder that still carried the retired
+/// engine knobs (frontier discipline, interner sizing, widening
+/// threshold). The decoder ignores keys it does not know, so such a frame
+/// still decodes — to the same spec without those keys — and the job runs.
+#[test]
+fn a_frame_with_retired_verify_keys_decodes_and_runs() {
+    let wire = include_bytes!("fixtures/legacy_submit.frame");
+    let mut reader = BufReader::new(&wire[..]);
+    let frame = read_frame(&mut reader).unwrap().expect("one frame");
+    let Frame::Submit { spec, watch } = frame else {
+        panic!("expected a submit frame, got {frame:?}");
+    };
+    assert!(watch);
+    assert_eq!(
+        spec,
+        JobSpec::case_study("legacy").with_options(SessionOptions::quick())
+    );
+    let report = spec.to_batch_job().run().expect("the legacy job runs");
+    assert!(report.all_checks_passed(), "{}", report.summary());
 }

@@ -7,8 +7,7 @@
 //! polychrony analyze  [--policy rm|edf|fp] [--stop-after PHASE]
 //! polychrony simulate [--hyperperiods N] [--vcd]
 //! polychrony verify   [--workers N] [--hyperperiods N] [--product]
-//!                     [--frontier barrier|work-stealing] [--no-pruning]
-//!                     [--interner-capacity N] [--property EXPR]...
+//!                     [--no-pruning] [--property EXPR]...
 //!                     [--domain concrete|interval] [--project-counters]
 //!                     [--inject-deadline-bug] [--inject-connection-bug]
 //!                     [--progress] [--trace-out FILE]
@@ -18,10 +17,12 @@
 //!                     [--max-threads N] [--no-shrink] [--replay S]
 //! ```
 //!
-//! With a running `polychronyd` (see `docs/SERVICE.md`), four more
-//! subcommands talk to the daemon over its socket:
+//! `serve` runs the verification daemon (see `docs/SERVICE.md`); four more
+//! subcommands talk to a running daemon over its socket:
 //!
 //! ```bash
+//! polychrony serve  (--socket PATH | --tcp ADDR) [--workers N]
+//!                   [--cache-capacity N] [--log PATH] [--trace-out PATH]
 //! polychrony submit (--socket PATH | --tcp ADDR) [--name NAME]
 //!                   [--workers N] [--hyperperiods N] [--product]
 //!                   [--domain concrete|interval] [--project-counters]
@@ -41,19 +42,21 @@
 //!
 //! Exit codes: `0` success, `1` usage error (including out-of-range option
 //! values), `2` a check failed (invalid schedule, alarm during simulation,
-//! a verification violation, or a failed batch job).
+//! a verification violation, or a failed batch job) or the daemon failed
+//! at runtime (bind error, unwritable log, lost connection).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use polychrony_client::{ClientError, Endpoint};
 use polychrony_core::aadl::synth::SyntheticSpec;
-use polychrony_core::polyverify::{Domain, FrontierMode, Property};
+use polychrony_core::polyverify::{Domain, Property};
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{
     BatchJob, BatchRunner, Collector, CoreError, JsonLinesSink, ProgressReporter, ProgressUpdate,
     PropertySpec, ScheduleOptions, Session, SessionOptions, ToolChain, VerificationScope,
 };
+use polychrony_server::{Daemon, DaemonConfig};
 use polyvopr::{FaultKind, VoprOptions};
 use polywire::{JobSpec, WireReport};
 
@@ -173,6 +176,7 @@ fn main() -> ExitCode {
         "verify" => verify(&args[1..]),
         "batch" => batch(&args[1..]),
         "vopr" => vopr(&args[1..]),
+        "serve" => serve(&args[1..]),
         "submit" => submit(&args[1..]),
         "status" => status(&args[1..]),
         "watch" => watch(&args[1..]),
@@ -203,8 +207,7 @@ USAGE:
     polychrony analyze  [--policy rm|edf|fp] [--stop-after PHASE]
     polychrony simulate [--hyperperiods N] [--vcd]
     polychrony verify   [--workers N] [--hyperperiods N] [--product]
-                        [--frontier barrier|work-stealing] [--no-pruning]
-                        [--interner-capacity N] [--property EXPR]...
+                        [--no-pruning] [--property EXPR]...
                         [--domain concrete|interval] [--project-counters]
                         [--inject-deadline-bug] [--inject-connection-bug]
                         [--progress] [--trace-out FILE]
@@ -214,6 +217,8 @@ USAGE:
                         [--max-threads N] [--no-shrink] [--replay S]
     polychrony vopr     --daemon (--socket PATH | --tcp ADDR) [--seed S]
                         [--iterations N] [--max-threads N]
+    polychrony serve    (--socket PATH | --tcp ADDR) [--workers N]
+                        [--cache-capacity N] [--log PATH] [--trace-out FILE]
     polychrony submit   (--socket PATH | --tcp ADDR) [--name NAME]
                         [--workers N] [--hyperperiods N] [--product]
                         [--domain concrete|interval] [--project-counters]
@@ -253,13 +258,9 @@ COMMANDS:
                simulator replay; with --inject-connection-bug, delay the
                producer's start-timer connection past the timer's input
                freeze and confirm the cross-thread counterexample by
-               lockstep co-simulation; --frontier selects the exploration
-               frontier discipline (work-stealing deques by default,
-               barrier for level-synchronised chunks — verdicts are
-               identical); --no-pruning disables clock-calculus pruning
-               and per-component memoization (verdicts are identical);
-               --interner-capacity sets the initial per-shard capacity of
-               the state interner; --domain interval switches the engine to
+               lockstep co-simulation; --no-pruning disables clock-calculus
+               pruning and per-component memoization (verdicts are
+               identical); --domain interval switches the engine to
                the interval abstraction (property-invisible monotone
                counters widen, so unbounded-counter spaces can close with a
                genuine proof — see docs/SYMBOLIC.md) and --project-counters
@@ -273,7 +274,8 @@ COMMANDS:
     vopr       seeded whole-system chaos harness (docs/VOPR.md): generate
                complete AADL systems from --seed, drive each through the
                full pipeline and cross-check independent oracles (cached
-               vs uncached runs, compiled LTL monitors vs the reference
+               vs uncached runs, simulation over one more hyper-period,
+               compiled LTL monitors vs the reference
                trace semantics, product verdicts vs lockstep
                co-simulation, concrete vs interval-domain verdicts,
                counterexample replay); --fault injects one of
@@ -285,10 +287,17 @@ COMMANDS:
                minimal failing system (--no-shrink to keep the original)
                and printed with a replay line; --replay S re-runs one
                scenario seed (hex 0x... or decimal) literally; with
-               --daemon, fan the generated jobs at a running polychronyd
+               --daemon, fan the generated jobs at a running daemon
                instead and cross-check every wire report against a local
                run of the identical job
-    submit     send the case study to a running polychronyd (docs/SERVICE.md)
+    serve      run the verification daemon (docs/SERVICE.md) on a unix
+               socket or TCP address until `stop`: a job queue drained by
+               --workers threads (default 2), a shared artifact cache of
+               --cache-capacity entries (default 64), an optional
+               replayable --log of every job, and daemon telemetry
+               (cache counters, queue gauges, per-job spans) streamed to
+               --trace-out
+    submit     send the case study to a running daemon (docs/SERVICE.md)
                and stream progress until the report arrives; repeated submits
                with the same front-end options hit the daemon's artifact
                cache; --detach returns immediately after the job id
@@ -695,9 +704,7 @@ fn verify(args: &[String]) -> Result<ExitCode, CliError> {
         ("--workers", true),
         ("--hyperperiods", true),
         ("--product", false),
-        ("--frontier", true),
         ("--no-pruning", false),
-        ("--interner-capacity", true),
         ("--domain", true),
         ("--project-counters", false),
         ("--property", true),
@@ -710,16 +717,6 @@ fn verify(args: &[String]) -> Result<ExitCode, CliError> {
     let ui = Ui::from_args(args)?;
     let workers = flag_value(args, "--workers", 2usize)?;
     let hyperperiods = flag_value(args, "--hyperperiods", 1u64)?;
-    let frontier = match flag_value(args, "--frontier", "work-stealing".to_string())?.as_str() {
-        "work-stealing" => FrontierMode::WorkStealing,
-        "barrier" => FrontierMode::Barrier,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown frontier mode `{other}` (use barrier or work-stealing)"
-            )))
-        }
-    };
-    let interner_capacity = flag_value(args, "--interner-capacity", 4096usize)?;
     let domain_label = flag_value(args, "--domain", "concrete".to_string())?;
     let domain = Domain::parse(&domain_label).ok_or_else(|| {
         CliError::Usage(format!(
@@ -746,9 +743,7 @@ fn verify(args: &[String]) -> Result<ExitCode, CliError> {
         .with_verify_workers(workers)
         .with_verify_hyperperiods(hyperperiods)
         .with_verify_scope(scope)
-        .with_verify_frontier(frontier)
         .with_verify_pruning(!has_flag(args, "--no-pruning"))
-        .with_verify_interner_capacity(interner_capacity)
         .with_verify_domain(domain)
         .with_verify_project_counters(has_flag(args, "--project-counters"))
         .with_collector(collector.clone());
@@ -896,6 +891,52 @@ fn endpoint_from_args(args: &[String]) -> Result<Endpoint, CliError> {
             "--socket and --tcp are mutually exclusive".into(),
         )),
     }
+}
+
+/// Runs the verification daemon on `--socket PATH` or `--tcp ADDR` until a
+/// client asks it to stop. Without `--trace-out` the daemon still counts its
+/// telemetry (a counters-mode collector); with it the telemetry streams as
+/// `polychrony-trace-v1` JSON lines.
+fn serve(args: &[String]) -> Result<ExitCode, CliError> {
+    let mut allowed = vec![
+        ("--workers", true),
+        ("--cache-capacity", true),
+        ("--log", true),
+        ("--trace-out", true),
+    ];
+    allowed.extend(COMMON_FLAGS);
+    allowed.extend(ENDPOINT_FLAGS);
+    check_flags(args, &allowed)?;
+    let ui = Ui::from_args(args)?;
+    let endpoint = endpoint_from_args(args)?;
+    let defaults = DaemonConfig::default();
+    let workers = flag_value(args, "--workers", defaults.workers)?;
+    if workers == 0 {
+        return Err(CliError::Usage("--workers must be at least 1".into()));
+    }
+    let log = flag_value(args, "--log", String::new())?;
+    let collector = collector_from_args(args)?;
+    let collector = if collector.is_enabled() {
+        collector
+    } else {
+        Collector::counters()
+    };
+    let daemon = Daemon::new(DaemonConfig {
+        workers,
+        cache_capacity: flag_value(args, "--cache-capacity", defaults.cache_capacity)?,
+        log_path: (!log.is_empty()).then(|| PathBuf::from(log)),
+        collector: collector.clone(),
+    })
+    .map_err(|e| CliError::Run(e.to_string()))?;
+    ui.say(&format!("polychrony daemon listening on {endpoint}"));
+    let served = match &endpoint {
+        Endpoint::Unix(path) => daemon.serve_unix(path),
+        Endpoint::Tcp(addr) => daemon.serve_tcp(addr),
+    };
+    daemon.join();
+    collector.flush();
+    served.map_err(|e| CliError::Run(e.to_string()))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Streams one progress update to stderr (same channel as `--progress`,

@@ -1,9 +1,9 @@
 //! End-to-end tests of the daemon-facing CLI: exit-code contract when no
-//! daemon is running, and a full `polychronyd` round trip — submit the
+//! daemon is running, and a full `polychrony serve` round trip — submit the
 //! case study twice, the second run reports a cache hit with verdicts
 //! identical to the first, then stop the daemon.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
@@ -11,20 +11,11 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_polychrony"))
 }
 
-/// `polychronyd` lives in the server crate; `cargo test` puts both
-/// binaries in the same target directory.
-fn daemon_bin() -> PathBuf {
-    let bin = Path::new(env!("CARGO_BIN_EXE_polychrony"))
-        .parent()
-        .expect("bin dir")
-        .join("polychronyd");
-    assert!(
-        bin.exists(),
-        "polychronyd not built at {} — run `cargo test --workspace` so every \
-         workspace binary is available",
-        bin.display()
-    );
-    bin
+/// The daemon is the CLI's own `serve` subcommand.
+fn daemon_bin() -> Command {
+    let mut command = cli();
+    command.arg("serve");
+    command
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -87,12 +78,12 @@ fn a_daemon_dying_mid_stream_is_a_clean_exit_2_not_a_hang() {
     let socket = tmp("dies.sock");
     let _ = std::fs::remove_file(&socket);
 
-    let mut daemon = Command::new(daemon_bin())
+    let mut daemon = daemon_bin()
         .args(["--socket"])
         .arg(&socket)
         .stdout(Stdio::null())
         .spawn()
-        .expect("spawn polychronyd");
+        .expect("spawn polychrony serve");
     for _ in 0..200 {
         if socket.exists() {
             break;
@@ -177,14 +168,14 @@ fn submitting_twice_hits_the_cache_with_identical_verdicts() {
     let _ = std::fs::remove_file(&socket);
     let _ = std::fs::remove_file(&log);
 
-    let mut daemon = Command::new(daemon_bin())
+    let mut daemon = daemon_bin()
         .args(["--socket"])
         .arg(&socket)
         .args(["--workers", "2", "--log"])
         .arg(&log)
         .stdout(Stdio::null())
         .spawn()
-        .expect("spawn polychronyd");
+        .expect("spawn polychrony serve");
     for _ in 0..200 {
         if socket.exists() {
             break;

@@ -9,6 +9,7 @@
 //! f`, adding `(FaultKind, seed)` here turns that one-off finding into a
 //! permanent regression test.
 
+use polyvopr::gen::SystemSpec;
 use polyvopr::{replay, FaultKind, VoprOptions, VoprVerdict};
 
 /// One corpus entry: an injected fault, the scenario seed that catches it,
@@ -147,4 +148,39 @@ fn a_clean_corpus_seed_passes_the_full_oracle_battery() {
         report.summary()
     );
     assert_eq!(report.passed, 1);
+}
+
+/// Scenario seeds (generator `max_threads` 8, as in the served vopr
+/// benchmark) whose second simulated hyper-period once failed with a
+/// synchronization violation: the multi-period timing trace let a job that
+/// completes on the hyper-period boundary resume on the next repetition's
+/// first tick.
+const MULTI_PERIOD_SEEDS: [u64; 2] = [0xa3bc_7541_1a9f_53ed, 0x4abf_497b_e4fb_67dd];
+
+#[test]
+fn multi_period_corpus_seeds_simulate_over_two_hyper_periods() {
+    for seed in MULTI_PERIOD_SEEDS {
+        let system = SystemSpec::generate(seed, 8, None);
+        let mut options = system.session_options();
+        options.simulate.hyperperiods = 2;
+        let report = system
+            .batch_job(seed)
+            .with_options(options)
+            .run()
+            .unwrap_or_else(|e| panic!("seed 0x{seed:016x} fails over 2 hyper-periods: {e}"));
+        assert!(report.all_checks_passed(), "{}", report.summary());
+
+        // The chaos harness, whose horizon oracle re-simulates every
+        // scenario over one more hyper-period, passes it too.
+        let options = VoprOptions {
+            max_threads: 8,
+            ..VoprOptions::default()
+        };
+        let report = replay(seed, &options, &mut |_| {});
+        assert!(
+            matches!(report.verdict, VoprVerdict::Clean),
+            "seed 0x{seed:016x}:\n{}",
+            report.summary()
+        );
+    }
 }
