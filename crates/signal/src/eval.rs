@@ -13,11 +13,17 @@
 //! is interned to a dense `u32` id, every equation expression is lowered to
 //! a `CExpr` mirror whose variables are ids and whose `delay`/`cell`
 //! operators carry their state-table index directly, and the per-instant
-//! environment is a reusable `Vec<Res>` indexed by id. This removes the
-//! string-keyed map rebuild that used to dominate the model checker's hot
-//! path; the public API (name-keyed [`TraceStep`]s in and out) is unchanged,
-//! and [`Evaluator::step_resolved`] additionally exposes the resolved
-//! instant as a borrow-only [`ResolvedStep`] so explorers can skip the
+//! environment is a reusable `Vec<Res>` indexed by id. The fixpoint is
+//! *semi-naive*: every equation records the ids it reads, every resolution
+//! change stamps its signal, and a pass re-evaluates only the equations
+//! whose ids changed since their own last evaluation — which replays the
+//! exhaustive loop change for change, since evaluation is pure and the
+//! merges are idempotent. The consistency pass skips the total definitions
+//! nothing touched since, and the commit evaluates only the operands of
+//! the `delay`/`cell` operators. The public API (name-keyed [`TraceStep`]s
+//! in and out) is unchanged; [`Evaluator::step_resolved`] additionally
+//! exposes the resolved instant as a borrow-only [`ResolvedStep`] (readable
+//! by name or by [`Evaluator::signal_id`]) so explorers can skip the
 //! `TraceStep` materialisation entirely.
 
 use std::collections::HashMap;
@@ -67,6 +73,9 @@ impl Res {
 struct OperatorState {
     current: Value,
     pending: Option<Value>,
+    /// The operand (of a `cell`, the memorised one): its value at an
+    /// instant, when present, is the next memory.
+    operand: CExpr,
 }
 
 /// An equation expression compiled against the signal-id table: variables
@@ -84,6 +93,26 @@ enum CExpr {
     Cell(usize, Box<CExpr>, Box<CExpr>),
     ClockOf(Box<CExpr>),
     ClockWhen(Box<CExpr>),
+}
+
+impl CExpr {
+    /// Visits this expression and every sub-expression, parents first.
+    fn visit<'a>(&'a self, f: &mut impl FnMut(&'a CExpr)) {
+        f(self);
+        match self {
+            CExpr::Var(_) | CExpr::Const(_) => {}
+            CExpr::Unary(_, e) | CExpr::Delay(_, e) | CExpr::ClockOf(e) | CExpr::ClockWhen(e) => {
+                e.visit(f)
+            }
+            CExpr::Binary(_, a, b)
+            | CExpr::When(a, b)
+            | CExpr::Default(a, b)
+            | CExpr::Cell(_, a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+        }
+    }
 }
 
 /// One compiled equation.
@@ -106,6 +135,49 @@ enum CEq {
         signals: Vec<u32>,
         label: String,
     },
+}
+
+/// What one compiled equation reads, for the semi-naive fixpoint.
+#[derive(Debug, Clone)]
+struct EqReads {
+    /// Where in [`Evaluator`]'s `read_ids` the equation's ids lie: the
+    /// signals whose change can change its effect (every variable of a
+    /// definition plus its target, or a constraint's members).
+    ids: std::ops::Range<usize>,
+    /// The definition's expression reads its own target, so the
+    /// equation's own change must trigger its re-evaluation.
+    reads_target: bool,
+}
+
+/// Per-instant scratch of an [`Evaluator`], reused across steps.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Resolution of every signal, indexed by id.
+    env: Vec<Res>,
+    /// Change counter, bumped whenever a signal's resolution changes. It
+    /// never resets, so stamps left by earlier instants are never fresh.
+    tick: u64,
+    /// Per signal: the `tick` of its last resolution change.
+    changed_at: Vec<u64>,
+    /// Per equation: the `tick` its last evaluation accounted for.
+    evaluated_at: Vec<u64>,
+    /// Per signal: some partial definition of it fired (consistency pass).
+    partial_fired: Vec<bool>,
+}
+
+impl Workspace {
+    /// Stamps a change of signal `id`'s resolution.
+    fn touch(&mut self, id: u32) {
+        self.tick += 1;
+        self.changed_at[id as usize] = self.tick;
+    }
+
+    /// Whether one of `ids`, the ids equation `eq` reads, changed since
+    /// the equation's last evaluation.
+    fn stale(&self, eq: usize, ids: &[u32]) -> bool {
+        let seen = self.evaluated_at[eq];
+        ids.iter().any(|&id| self.changed_at[id as usize] > seen)
+    }
 }
 
 /// Evaluator of a flat [`Process`] (no sub-process instances; use
@@ -138,7 +210,11 @@ pub struct Evaluator {
     states: Vec<OperatorState>,
     /// Initial memory, for [`Evaluator::reset`].
     initial: Vec<Value>,
-    max_iterations: usize,
+    /// Fixpoint pass bound. Every signal's resolution changes at most
+    /// twice per instant (unknown, then presence or absence, then a
+    /// value), and every pass but the last changes one, so `2·|signals| + 1`
+    /// passes always reach the fixpoint.
+    max_passes: usize,
     /// id → name; the first `decl_count` ids are `process.signals` in
     /// declaration order, any extra names found in equations follow.
     names: Vec<String>,
@@ -156,10 +232,16 @@ pub struct Evaluator {
     input_ids: Vec<u32>,
     /// Whether the id has a total definition (for the partial discipline).
     has_total: Vec<bool>,
+    /// Partially-defined ids, each once, in source order.
+    partial_targets: Vec<u32>,
     /// Compiled equations, in source order.
     ceqs: Vec<CEq>,
-    /// Reusable per-instant environment, indexed by id.
-    env: Vec<Res>,
+    /// What each compiled equation reads, parallel to `ceqs`.
+    reads: Vec<EqReads>,
+    /// The ids of every equation's reads, back to back.
+    read_ids: Vec<u32>,
+    /// Reusable per-instant scratch.
+    ws: Workspace,
 }
 
 /// Name interner used during compilation.
@@ -180,6 +262,18 @@ impl Interner<'_> {
     }
 }
 
+/// Allocates the state slot of a `delay`/`cell`, before its operands are
+/// compiled (so slots are numbered in pre-order); the caller fills in the
+/// operand.
+fn push_state(states: &mut Vec<OperatorState>, init: &Value) -> usize {
+    states.push(OperatorState {
+        current: init.clone(),
+        pending: None,
+        operand: CExpr::Const(Value::Event),
+    });
+    states.len() - 1
+}
+
 fn compile_expr(
     expr: &Expr,
     interner: &mut Interner<'_>,
@@ -195,12 +289,10 @@ fn compile_expr(
             Box::new(compile_expr(b, interner, states)),
         ),
         Expr::Delay(e, init) => {
-            let idx = states.len();
-            states.push(OperatorState {
-                current: init.clone(),
-                pending: None,
-            });
-            CExpr::Delay(idx, Box::new(compile_expr(e, interner, states)))
+            let idx = push_state(states, init);
+            let operand = compile_expr(e, interner, states);
+            states[idx].operand = operand.clone();
+            CExpr::Delay(idx, Box::new(operand))
         }
         Expr::When(e, b) => CExpr::When(
             Box::new(compile_expr(e, interner, states)),
@@ -211,14 +303,12 @@ fn compile_expr(
             Box::new(compile_expr(v, interner, states)),
         ),
         Expr::Cell(i, b, init) => {
-            let idx = states.len();
-            states.push(OperatorState {
-                current: init.clone(),
-                pending: None,
-            });
+            let idx = push_state(states, init);
+            let operand = compile_expr(i, interner, states);
+            states[idx].operand = operand.clone();
             CExpr::Cell(
                 idx,
-                Box::new(compile_expr(i, interner, states)),
+                Box::new(operand),
                 Box::new(compile_expr(b, interner, states)),
             )
         }
@@ -292,21 +382,52 @@ impl Evaluator {
         }
 
         let mut has_total = vec![false; names.len()];
+        let mut partial_targets = Vec::new();
+        let mut reads = Vec::with_capacity(ceqs.len());
+        let mut read_ids = Vec::new();
         for ceq in &ceqs {
-            if let CEq::Def { target, .. } = ceq {
-                has_total[*target as usize] = true;
+            let start = read_ids.len();
+            let mut reads_target = false;
+            match ceq {
+                CEq::Def { target, expr } | CEq::Partial { target, expr } => {
+                    if matches!(ceq, CEq::Def { .. }) {
+                        has_total[*target as usize] = true;
+                    } else if !partial_targets.contains(target) {
+                        partial_targets.push(*target);
+                    }
+                    read_ids.push(*target);
+                    expr.visit(&mut |e| {
+                        if let CExpr::Var(id) = e {
+                            reads_target |= id == target;
+                            read_ids.push(*id);
+                        }
+                    });
+                }
+                CEq::Sync { signals, .. } => read_ids.extend_from_slice(signals),
+                // Exclusions only act in the constraint check.
+                CEq::Excl { .. } => {}
             }
+            reads.push(EqReads {
+                ids: start..read_ids.len(),
+                reads_target,
+            });
         }
         let mut sorted_ids: Vec<u32> = (0..names.len() as u32).collect();
         sorted_ids.sort_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
 
         let initial: Vec<Value> = states.iter().map(|s| s.current.clone()).collect();
-        let env = vec![Res::Unknown; names.len()];
+        let ws = Workspace {
+            env: vec![Res::Unknown; names.len()],
+            tick: 0,
+            changed_at: vec![0; names.len()],
+            evaluated_at: vec![0; ceqs.len()],
+            partial_fired: vec![false; names.len()],
+        };
         Ok(Self {
             process: process.clone(),
             states,
             initial,
-            max_iterations: 64,
+            max_passes: 2 * names.len() + 1,
             names,
             ids,
             sorted_ids,
@@ -315,8 +436,11 @@ impl Evaluator {
             is_input,
             input_ids,
             has_total,
+            partial_targets,
             ceqs,
-            env,
+            reads,
+            read_ids,
+            ws,
         })
     }
 
@@ -409,7 +533,7 @@ impl Evaluator {
     pub fn step(&mut self, instant: usize, input: &TraceStep) -> Result<TraceStep, SignalError> {
         self.step_commit(instant, input)?;
         let mut step = TraceStep::new();
-        for (id, res) in self.env.iter().enumerate() {
+        for (id, res) in self.ws.env.iter().enumerate() {
             if let Res::Present(v) | Res::Any(v) = res {
                 step.set(self.names[id].clone(), v.clone());
             }
@@ -440,16 +564,27 @@ impl Evaluator {
         ResolvedStep {
             names: &self.names,
             ids: &self.ids,
-            env: &self.env,
+            env: &self.ws.env,
             sorted_ids: &self.sorted_ids,
         }
     }
 
-    /// Resolves one instant into `self.env` and commits operator states.
+    /// The dense id of signal `name`, for [`ResolvedStep::value_by_id`];
+    /// `None` for a name the process does not declare.
+    pub fn signal_id(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    /// The ids equation `eq` reads.
+    fn ids_read_by(&self, eq: usize) -> &[u32] {
+        &self.read_ids[self.reads[eq].ids.clone()]
+    }
+
+    /// Resolves one instant into the workspace and commits operator states.
     fn step_commit(&mut self, instant: usize, input: &TraceStep) -> Result<(), SignalError> {
-        let mut env = std::mem::take(&mut self.env);
-        let result = self.step_into(instant, input, &mut env);
-        self.env = env;
+        let mut ws = std::mem::take(&mut self.ws);
+        let result = self.step_into(instant, input, &mut ws);
+        self.ws = ws;
         result
     }
 
@@ -457,41 +592,54 @@ impl Evaluator {
         &mut self,
         instant: usize,
         input: &TraceStep,
-        env: &mut Vec<Res>,
+        ws: &mut Workspace,
     ) -> Result<(), SignalError> {
-        env.clear();
-        env.resize(self.names.len(), Res::Unknown);
+        ws.env.clear();
+        ws.env.resize(self.names.len(), Res::Unknown);
         // Inputs are fully specified by the caller: absent unless given.
         for &id in &self.input_ids {
-            env[id as usize] = match input.get(&self.names[id as usize]) {
+            ws.env[id as usize] = match input.get(&self.names[id as usize]) {
                 Some(v) => Res::Present(v.clone()),
                 None => Res::Absent,
             };
         }
 
-        // Fixpoint over the equations.
+        // Semi-naive fixpoint over the equations: the first pass evaluates
+        // every equation, later passes only those whose reads changed since.
         let mut changed = true;
-        let mut iterations = 0;
+        let mut passes = 0;
         while changed {
             changed = false;
-            iterations += 1;
-            if iterations > self.max_iterations {
+            passes += 1;
+            if passes > self.max_passes {
                 break;
             }
-            for ceq in &self.ceqs {
+            for (e, ceq) in self.ceqs.iter().enumerate() {
+                let reads = &self.reads[e];
+                if passes > 1 && !ws.stale(e, self.ids_read_by(e)) {
+                    continue;
+                }
+                let before = ws.tick;
                 match ceq {
                     CEq::Def { target, expr } => {
-                        let res = eval(expr, env, &self.states, instant)?;
-                        changed |= merge_total(env, *target, res, instant, &self.names)?;
+                        let res = eval(expr, &ws.env, &self.states, instant)?;
+                        if merge_total(&mut ws.env, *target, res, instant, &self.names)? {
+                            ws.touch(*target);
+                            changed = true;
+                        }
                     }
                     CEq::Partial { target, expr } => {
-                        let res = eval(expr, env, &self.states, instant)?;
-                        changed |= merge_partial(env, *target, res, instant, &self.names)?;
+                        let res = eval(expr, &ws.env, &self.states, instant)?;
+                        if merge_partial(&mut ws.env, *target, res, instant, &self.names)? {
+                            ws.touch(*target);
+                            changed = true;
+                        }
                     }
                     CEq::Sync { signals, label } => {
                         // Propagate presence/absence across a synchronisation
                         // class: if any member is decided, undecided members
                         // follow.
+                        let env = &ws.env;
                         let any_present = signals.iter().any(|&s| env[s as usize].is_present());
                         let any_absent = signals
                             .iter()
@@ -504,12 +652,13 @@ impl Evaluator {
                         }
                         if any_present || any_absent {
                             for &s in signals {
-                                if matches!(env[s as usize], Res::Unknown) {
-                                    env[s as usize] = if any_present {
+                                if matches!(ws.env[s as usize], Res::Unknown) {
+                                    ws.env[s as usize] = if any_present {
                                         Res::PresentUnknown
                                     } else {
                                         Res::Absent
                                     };
+                                    ws.touch(s);
                                     changed = true;
                                 }
                             }
@@ -517,16 +666,21 @@ impl Evaluator {
                     }
                     CEq::Excl { .. } => {}
                 }
+                // Re-running an equation on unchanged reads repeats its
+                // result, and its merge is then a no-op — unless the
+                // expression reads the target it just changed.
+                ws.evaluated_at[e] = if reads.reads_target { before } else { ws.tick };
             }
         }
 
         // Signals known present but without a computed value: pure events
         // carry no value, so presence is enough; anything else is stuck.
         let mut stuck = Vec::new();
-        for (id, res) in env.iter_mut().enumerate().take(self.decl_count) {
-            if matches!(res, Res::PresentUnknown) {
+        for id in 0..self.decl_count {
+            if matches!(ws.env[id], Res::PresentUnknown) {
                 if self.decl_ty[id] == ValueType::Event {
-                    *res = Res::Present(Value::Event);
+                    ws.env[id] = Res::Present(Value::Event);
+                    ws.touch(id as u32);
                 } else {
                     stuck.push(self.names[id].clone());
                 }
@@ -541,27 +695,33 @@ impl Evaluator {
 
         // Default-to-absent completion: any still-unknown signal is assumed
         // absent, then all equations are re-checked for consistency.
-        for res in env.iter_mut() {
-            if !res.known() {
-                *res = Res::Absent;
+        for id in 0..ws.env.len() {
+            if !ws.env[id].known() {
+                ws.env[id] = Res::Absent;
+                ws.touch(id as u32);
             }
         }
-        self.verify(env, instant)?;
-        self.check_constraints(env, instant)?;
-        self.commit(env, instant)
+        self.verify(ws, instant)?;
+        self.check_constraints(&ws.env, instant)?;
+        self.commit(&ws.env, instant)
     }
 
-    /// Re-evaluates every definition under the completed environment and
-    /// checks consistency.
-    fn verify(&self, env: &[Res], instant: usize) -> Result<(), SignalError> {
-        // Track, per partially-defined signal, whether some partial fired.
-        let mut partial_fired = vec![false; self.names.len()];
-        let mut partial_targets: Vec<u32> = Vec::new();
-        for ceq in &self.ceqs {
+    /// Re-checks the definitions under the completed environment. A total
+    /// definition none of whose reads changed since its last fixpoint
+    /// evaluation is skipped: its merge already established consistency.
+    /// Partial definitions always run, to record which of them fired.
+    fn verify(&self, ws: &mut Workspace, instant: usize) -> Result<(), SignalError> {
+        for &target in &self.partial_targets {
+            ws.partial_fired[target as usize] = false;
+        }
+        for (e, ceq) in self.ceqs.iter().enumerate() {
             match ceq {
                 CEq::Def { target, expr } => {
-                    let res = eval(expr, env, &self.states, instant)?;
-                    let current = &env[*target as usize];
+                    if !ws.stale(e, self.ids_read_by(e)) {
+                        continue;
+                    }
+                    let res = eval(expr, &ws.env, &self.states, instant)?;
+                    let current = &ws.env[*target as usize];
                     if !consistent(current, &res) {
                         return Err(SignalError::NotExecutable {
                             instant,
@@ -570,11 +730,10 @@ impl Evaluator {
                     }
                 }
                 CEq::Partial { target, expr } => {
-                    partial_targets.push(*target);
-                    let res = eval(expr, env, &self.states, instant)?;
+                    let res = eval(expr, &ws.env, &self.states, instant)?;
                     if let Res::Present(ref v) | Res::Any(ref v) = res {
-                        partial_fired[*target as usize] = true;
-                        if let Some(cv) = env[*target as usize].value() {
+                        ws.partial_fired[*target as usize] = true;
+                        if let Some(cv) = ws.env[*target as usize].value() {
                             if cv != v {
                                 return Err(SignalError::MultipleDefinitions {
                                     process: self.process.name.clone(),
@@ -589,13 +748,13 @@ impl Evaluator {
         }
         // A partially-defined signal that is present must have at least one
         // firing partial definition or be an input.
-        for target in partial_targets {
+        for &target in &self.partial_targets {
             let id = target as usize;
             if id < self.decl_count && self.is_input[id] {
                 continue;
             }
-            let present = matches!(env[id], Res::Present(_) | Res::Any(_));
-            if present && !self.has_total[id] && !partial_fired[id] {
+            let present = matches!(ws.env[id], Res::Present(_) | Res::Any(_));
+            if present && !self.has_total[id] && !ws.partial_fired[id] {
                 return Err(SignalError::NotExecutable {
                     instant,
                     unresolved: vec![self.names[id].clone()],
@@ -642,19 +801,19 @@ impl Evaluator {
         Ok(())
     }
 
-    /// Commits the pending state of every `delay`/`cell` operator.
+    /// Commits every `delay`/`cell` operator: its operand's value under
+    /// the final environment, when present, becomes its memory. All
+    /// operands are read before any memory changes, since an operand may
+    /// itself read a nested operator's current memory.
     fn commit(&mut self, env: &[Res], instant: usize) -> Result<(), SignalError> {
-        // Recompute pending updates under the final environment, then apply.
+        for slot in 0..self.states.len() {
+            let pending = match eval(&self.states[slot].operand, env, &self.states, instant)? {
+                Res::Present(v) | Res::Any(v) => Some(v),
+                _ => None,
+            };
+            self.states[slot].pending = pending;
+        }
         for st in &mut self.states {
-            st.pending = None;
-        }
-        let states = &mut self.states;
-        for ceq in &self.ceqs {
-            if let CEq::Def { expr, .. } | CEq::Partial { expr, .. } = ceq {
-                record_pending(expr, env, states, instant)?;
-            }
-        }
-        for st in states.iter_mut() {
             if let Some(v) = st.pending.take() {
                 st.current = v;
             }
@@ -672,6 +831,14 @@ pub struct ResolvedStep<'a> {
     ids: &'a HashMap<String, u32>,
     env: &'a [Res],
     sorted_ids: &'a [u32],
+}
+
+impl<'a> ResolvedStep<'a> {
+    /// The value of the signal with id `id` (see [`Evaluator::signal_id`]),
+    /// or `None` when it is absent.
+    pub fn value_by_id(&self, id: u32) -> Option<&'a Value> {
+        self.env.get(id as usize).and_then(Res::value)
+    }
 }
 
 impl InstantView for ResolvedStep<'_> {
@@ -749,71 +916,6 @@ fn eval(
         }
         CExpr::ClockWhen(b) => {
             let v = eval(b, env, states, instant)?;
-            Ok(clock_when_result(&v))
-        }
-    }
-}
-
-/// Like [`eval`], but records the pending update of every `delay`/`cell`
-/// operator it passes through.
-fn record_pending(
-    expr: &CExpr,
-    env: &[Res],
-    states: &mut [OperatorState],
-    instant: usize,
-) -> Result<Res, SignalError> {
-    match expr {
-        CExpr::Delay(idx, e) => {
-            let idx = *idx;
-            let inner = record_pending(e, env, states, instant)?;
-            let res = match &inner {
-                Res::Present(_) | Res::Any(_) | Res::PresentUnknown => {
-                    Res::Present(states[idx].current.clone())
-                }
-                Res::Absent => Res::Absent,
-                Res::Unknown => Res::Unknown,
-            };
-            if let Some(v) = inner.value() {
-                states[idx].pending = Some(v.clone());
-            }
-            Ok(res)
-        }
-        CExpr::Cell(idx, i, b) => {
-            let idx = *idx;
-            let vi = record_pending(i, env, states, instant)?;
-            let vb = record_pending(b, env, states, instant)?;
-            if let Some(v) = vi.value() {
-                states[idx].pending = Some(v.clone());
-            }
-            Ok(cell_result(&vi, &vb, &states[idx].current))
-        }
-        CExpr::Var(id) => Ok(env[*id as usize].clone()),
-        CExpr::Const(v) => Ok(Res::Any(v.clone())),
-        CExpr::Unary(op, e) => {
-            let v = record_pending(e, env, states, instant)?;
-            apply_unary(*op, &v)
-        }
-        CExpr::Binary(op, a, b) => {
-            let va = record_pending(a, env, states, instant)?;
-            let vb = record_pending(b, env, states, instant)?;
-            apply_binary(*op, &va, &vb, instant)
-        }
-        CExpr::When(e, b) => {
-            let ve = record_pending(e, env, states, instant)?;
-            let vb = record_pending(b, env, states, instant)?;
-            Ok(when_result(&ve, &vb))
-        }
-        CExpr::Default(u, v) => {
-            let vu = record_pending(u, env, states, instant)?;
-            let vv = record_pending(v, env, states, instant)?;
-            Ok(default_result(&vu, &vv))
-        }
-        CExpr::ClockOf(e) => {
-            let v = record_pending(e, env, states, instant)?;
-            Ok(clock_of_result(&v))
-        }
-        CExpr::ClockWhen(b) => {
-            let v = record_pending(b, env, states, instant)?;
             Ok(clock_when_result(&v))
         }
     }
@@ -1403,5 +1505,543 @@ mod tests {
         // Name-sorted visit order, like a TraceStep's BTreeMap.
         let first = view.first_present_matching(&mut |_, _| true);
         assert_eq!(first.as_deref(), Some("count"));
+    }
+
+    /// `x0 := x1; x1 := x2; …; x{n-1} := i`: a chain listed against its
+    /// dependency order, so each exhaustive pass resolves one more link.
+    fn reversed_chain(n: usize) -> Process {
+        let mut b = ProcessBuilder::new("chain");
+        b.input("i", ValueType::Integer);
+        b.output("x0", ValueType::Integer);
+        for k in 1..n {
+            b.local(format!("x{k}"), ValueType::Integer);
+        }
+        for k in 0..n {
+            let source = if k + 1 == n {
+                "i".to_string()
+            } else {
+                format!("x{}", k + 1)
+            };
+            b.define(format!("x{k}"), Expr::var(source));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn long_reversed_chains_reach_their_fixpoint() {
+        for n in [65usize, 200] {
+            let p = reversed_chain(n);
+            let mut inputs = Trace::new();
+            inputs.set(0, "i", Value::Int(7));
+            inputs.step_mut(1);
+            let out = Evaluator::new(&p)
+                .unwrap()
+                .run(&inputs)
+                .unwrap_or_else(|e| panic!("n = {n}: {e}"));
+            assert_eq!(out.value(0, "x0"), Some(&Value::Int(7)), "n = {n}");
+            assert_eq!(out.clock_of("x0"), vec![0], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_partial_contradicting_an_earlier_total_definition_is_rejected() {
+        // `x := i` resolves `x` absent first; the partial then makes it
+        // present, and the total definition must be re-checked against it.
+        let mut bld = ProcessBuilder::new("contradiction");
+        bld.input("i", ValueType::Integer);
+        bld.input("c", ValueType::Boolean);
+        bld.output("x", ValueType::Integer);
+        bld.define("x", Expr::var("i"));
+        bld.define_partial("x", Expr::when(Expr::int(1), Expr::var("c")));
+        let p = bld.build().unwrap();
+        let mut inputs = Trace::new();
+        inputs.set(0, "c", Value::Bool(true));
+        let err = Evaluator::new(&p).unwrap().run(&inputs).unwrap_err();
+        assert_eq!(
+            err,
+            SignalError::SynchronizationViolation {
+                instant: 0,
+                detail: "conflicting resolutions for `x`".into(),
+            }
+        );
+    }
+
+    /// The evaluator before the semi-naive rewrite, kept as the reference
+    /// the compiled evaluator must replay: every pass re-evaluates every
+    /// equation, the consistency pass re-evaluates every definition, and
+    /// the commit re-walks every expression recording pending memories.
+    /// Only the pass bound is the current one.
+    fn reference_step(
+        ev: &mut Evaluator,
+        instant: usize,
+        input: &TraceStep,
+    ) -> Result<TraceStep, SignalError> {
+        let mut env = vec![Res::Unknown; ev.names.len()];
+        for &id in &ev.input_ids {
+            env[id as usize] = match input.get(&ev.names[id as usize]) {
+                Some(v) => Res::Present(v.clone()),
+                None => Res::Absent,
+            };
+        }
+        let mut changed = true;
+        let mut iterations = 0;
+        while changed {
+            changed = false;
+            iterations += 1;
+            if iterations > ev.max_passes {
+                break;
+            }
+            for ceq in &ev.ceqs {
+                match ceq {
+                    CEq::Def { target, expr } => {
+                        let res = eval(expr, &env, &ev.states, instant)?;
+                        changed |= merge_total(&mut env, *target, res, instant, &ev.names)?;
+                    }
+                    CEq::Partial { target, expr } => {
+                        let res = eval(expr, &env, &ev.states, instant)?;
+                        changed |= merge_partial(&mut env, *target, res, instant, &ev.names)?;
+                    }
+                    CEq::Sync { signals, label } => {
+                        let any_present = signals.iter().any(|&s| env[s as usize].is_present());
+                        let any_absent = signals
+                            .iter()
+                            .any(|&s| matches!(env[s as usize], Res::Absent));
+                        if any_present && any_absent {
+                            return Err(SignalError::SynchronizationViolation {
+                                instant,
+                                detail: format!("signals {label} must be synchronous"),
+                            });
+                        }
+                        if any_present || any_absent {
+                            for &s in signals {
+                                if matches!(env[s as usize], Res::Unknown) {
+                                    env[s as usize] = if any_present {
+                                        Res::PresentUnknown
+                                    } else {
+                                        Res::Absent
+                                    };
+                                    changed = true;
+                                }
+                            }
+                        }
+                    }
+                    CEq::Excl { .. } => {}
+                }
+            }
+        }
+        let mut stuck = Vec::new();
+        for (id, res) in env.iter_mut().enumerate().take(ev.decl_count) {
+            if matches!(res, Res::PresentUnknown) {
+                if ev.decl_ty[id] == ValueType::Event {
+                    *res = Res::Present(Value::Event);
+                } else {
+                    stuck.push(ev.names[id].clone());
+                }
+            }
+        }
+        if !stuck.is_empty() {
+            return Err(SignalError::NotExecutable {
+                instant,
+                unresolved: stuck,
+            });
+        }
+        for res in env.iter_mut() {
+            if !res.known() {
+                *res = Res::Absent;
+            }
+        }
+        reference_verify(ev, &env, instant)?;
+        ev.check_constraints(&env, instant)?;
+        for st in &mut ev.states {
+            st.pending = None;
+        }
+        for ceq in &ev.ceqs {
+            if let CEq::Def { expr, .. } | CEq::Partial { expr, .. } = ceq {
+                record_pending(expr, &env, &mut ev.states, instant)?;
+            }
+        }
+        for st in &mut ev.states {
+            if let Some(v) = st.pending.take() {
+                st.current = v;
+            }
+        }
+        let mut step = TraceStep::new();
+        for (id, res) in env.iter().enumerate() {
+            if let Some(v) = res.value() {
+                step.set(ev.names[id].clone(), v.clone());
+            }
+        }
+        Ok(step)
+    }
+
+    fn reference_verify(ev: &Evaluator, env: &[Res], instant: usize) -> Result<(), SignalError> {
+        let mut partial_fired = vec![false; ev.names.len()];
+        let mut partial_targets: Vec<u32> = Vec::new();
+        for ceq in &ev.ceqs {
+            match ceq {
+                CEq::Def { target, expr } => {
+                    let res = eval(expr, env, &ev.states, instant)?;
+                    if !consistent(&env[*target as usize], &res) {
+                        return Err(SignalError::NotExecutable {
+                            instant,
+                            unresolved: vec![ev.names[*target as usize].clone()],
+                        });
+                    }
+                }
+                CEq::Partial { target, expr } => {
+                    partial_targets.push(*target);
+                    let res = eval(expr, env, &ev.states, instant)?;
+                    if let Res::Present(ref v) | Res::Any(ref v) = res {
+                        partial_fired[*target as usize] = true;
+                        if let Some(cv) = env[*target as usize].value() {
+                            if cv != v {
+                                return Err(SignalError::MultipleDefinitions {
+                                    process: ev.process.name.clone(),
+                                    signal: ev.names[*target as usize].clone(),
+                                });
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        for target in partial_targets {
+            let id = target as usize;
+            if id < ev.decl_count && ev.is_input[id] {
+                continue;
+            }
+            let present = matches!(env[id], Res::Present(_) | Res::Any(_));
+            if present && !ev.has_total[id] && !partial_fired[id] {
+                return Err(SignalError::NotExecutable {
+                    instant,
+                    unresolved: vec![ev.names[id].clone()],
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Like [`eval`], but records the pending update of every `delay`/`cell`
+    /// operator it passes through.
+    fn record_pending(
+        expr: &CExpr,
+        env: &[Res],
+        states: &mut [OperatorState],
+        instant: usize,
+    ) -> Result<Res, SignalError> {
+        match expr {
+            CExpr::Delay(idx, e) => {
+                let inner = record_pending(e, env, states, instant)?;
+                let res = match &inner {
+                    Res::Present(_) | Res::Any(_) | Res::PresentUnknown => {
+                        Res::Present(states[*idx].current.clone())
+                    }
+                    Res::Absent => Res::Absent,
+                    Res::Unknown => Res::Unknown,
+                };
+                if let Some(v) = inner.value() {
+                    states[*idx].pending = Some(v.clone());
+                }
+                Ok(res)
+            }
+            CExpr::Cell(idx, i, b) => {
+                let vi = record_pending(i, env, states, instant)?;
+                let vb = record_pending(b, env, states, instant)?;
+                if let Some(v) = vi.value() {
+                    states[*idx].pending = Some(v.clone());
+                }
+                Ok(cell_result(&vi, &vb, &states[*idx].current))
+            }
+            CExpr::Var(id) => Ok(env[*id as usize].clone()),
+            CExpr::Const(v) => Ok(Res::Any(v.clone())),
+            CExpr::Unary(op, e) => {
+                let v = record_pending(e, env, states, instant)?;
+                apply_unary(*op, &v)
+            }
+            CExpr::Binary(op, a, b) => {
+                let va = record_pending(a, env, states, instant)?;
+                let vb = record_pending(b, env, states, instant)?;
+                apply_binary(*op, &va, &vb, instant)
+            }
+            CExpr::When(e, b) => {
+                let ve = record_pending(e, env, states, instant)?;
+                let vb = record_pending(b, env, states, instant)?;
+                Ok(when_result(&ve, &vb))
+            }
+            CExpr::Default(u, v) => {
+                let vu = record_pending(u, env, states, instant)?;
+                let vv = record_pending(v, env, states, instant)?;
+                Ok(default_result(&vu, &vv))
+            }
+            CExpr::ClockOf(e) => {
+                let v = record_pending(e, env, states, instant)?;
+                Ok(clock_of_result(&v))
+            }
+            CExpr::ClockWhen(b) => {
+                let v = record_pending(b, env, states, instant)?;
+                Ok(clock_when_result(&v))
+            }
+        }
+    }
+
+    /// A splitmix64 stream driving the random process generator.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.next() % 100 < percent
+        }
+    }
+
+    /// A random integer expression over `i` and the locals `x0..xn`.
+    fn random_expr(s: &mut Stream, n: usize, depth: usize) -> Expr {
+        let var = |s: &mut Stream| match s.below(n + 1) {
+            0 => Expr::var("i"),
+            k => Expr::var(format!("x{}", k - 1)),
+        };
+        if depth == 0 || s.chance(30) {
+            return if s.chance(75) {
+                var(s)
+            } else {
+                Expr::int(s.below(3) as i64)
+            };
+        }
+        let sub = |s: &mut Stream| random_expr(s, n, depth - 1);
+        match s.below(6) {
+            0 => Expr::add(sub(s), sub(s)),
+            1 => Expr::delay(sub(s), Value::Int(s.below(3) as i64)),
+            2 => {
+                let e = sub(s);
+                Expr::when(e, random_cond(s, n, depth - 1))
+            }
+            3 => Expr::default(sub(s), sub(s)),
+            4 => {
+                let e = sub(s);
+                Expr::cell(e, random_cond(s, n, depth - 1), Value::Int(0))
+            }
+            _ => Expr::sub(sub(s), sub(s)),
+        }
+    }
+
+    /// A random sampling condition.
+    fn random_cond(s: &mut Stream, n: usize, depth: usize) -> Expr {
+        match s.below(5) {
+            0 => Expr::var("c"),
+            1 => Expr::not(Expr::var("c")),
+            2 => Expr::clock_of(Expr::var("tick")),
+            3 => Expr::clock_when(Expr::var("c")),
+            _ => Expr::ge(random_expr(s, n, depth), Expr::int(1)),
+        }
+    }
+
+    /// A random flat process over inputs `i` (integer), `c` (boolean) and
+    /// `tick` (event) and integer locals `x0..xn`: total and partial
+    /// definitions in shuffled order, chains listed against their
+    /// dependency order, constants synchronised with inputs, clock
+    /// constraints and exclusions.
+    fn random_process(s: &mut Stream) -> Process {
+        let n = 2 + s.below(7);
+        let mut b = ProcessBuilder::new("random");
+        b.input("i", ValueType::Integer);
+        b.input("c", ValueType::Boolean);
+        b.input("tick", ValueType::Event);
+        for k in 0..n {
+            b.local(format!("x{k}"), ValueType::Integer);
+        }
+        let mut equations: Vec<Equation> = Vec::new();
+        for k in 0..n {
+            let target = format!("x{k}");
+            match s.below(8) {
+                // A constant: its clock is whatever a constraint says.
+                0 => {
+                    equations.push(Equation::Definition {
+                        target: target.clone(),
+                        expr: Expr::int(s.below(3) as i64),
+                    });
+                    let input = ["i", "c", "tick"][s.below(3)];
+                    equations.push(Equation::ClockConstraint {
+                        signals: vec![target, input.to_string()],
+                    });
+                }
+                // A link of a chain towards the higher indices.
+                1 | 2 => equations.push(Equation::Definition {
+                    target,
+                    expr: if k + 1 < n {
+                        Expr::var(format!("x{}", k + 1))
+                    } else {
+                        Expr::var("i")
+                    },
+                }),
+                // Two sampled partial definitions, sometimes after a total
+                // one that they can contradict.
+                3 => {
+                    if s.chance(30) {
+                        equations.push(Equation::Definition {
+                            target: target.clone(),
+                            expr: random_expr(s, n, 2),
+                        });
+                    }
+                    for _ in 0..2 {
+                        let e = random_expr(s, n, 2);
+                        equations.push(Equation::PartialDefinition {
+                            target: target.clone(),
+                            expr: Expr::when(e, random_cond(s, n, 1)),
+                        });
+                    }
+                }
+                // Left undefined.
+                4 => {}
+                _ => equations.push(Equation::Definition {
+                    target,
+                    expr: random_expr(s, n, 3),
+                }),
+            }
+        }
+        for _ in 0..s.below(3) {
+            let pick = |s: &mut Stream| match s.below(n + 2) {
+                0 => "i".to_string(),
+                1 => "tick".to_string(),
+                k => format!("x{}", k - 2),
+            };
+            let signals = vec![pick(s), pick(s)];
+            equations.push(if s.chance(70) {
+                Equation::ClockConstraint { signals }
+            } else {
+                Equation::ClockExclusion { signals }
+            });
+        }
+        // Shuffle, but keep chains in reverse dependency order whenever the
+        // shuffle leaves them alone: half the processes stay unshuffled.
+        if s.chance(50) {
+            for k in (1..equations.len()).rev() {
+                let j = s.below(k + 1);
+                equations.swap(k, j);
+            }
+        }
+        let mut p = b.build().unwrap();
+        p.equations = equations;
+        p.validate().unwrap();
+        p
+    }
+
+    fn random_inputs(s: &mut Stream, len: usize) -> Trace {
+        let mut trace = Trace::new();
+        for t in 0..len {
+            if s.chance(60) {
+                trace.set(t, "i", Value::Int(s.below(4) as i64));
+            }
+            if s.chance(60) {
+                trace.set(t, "c", Value::Bool(s.chance(50)));
+            }
+            if s.chance(50) {
+                trace.set(t, "tick", Value::Event);
+            }
+            trace.step_mut(t);
+        }
+        trace
+    }
+
+    /// Outcome counts of one differential run, for the coverage check.
+    #[derive(Default)]
+    struct Coverage {
+        steps: usize,
+        errors: std::collections::BTreeSet<&'static str>,
+        any_values: usize,
+    }
+
+    /// Runs the evaluator and the reference side by side over `inputs`,
+    /// requiring identical resolved steps, memories and errors.
+    fn assert_replays_reference(p: &Process, inputs: &Trace, coverage: &mut Coverage) {
+        let mut fast = Evaluator::new(p).unwrap();
+        let mut slow = fast.clone();
+        for t in 0..inputs.len() {
+            let input = inputs.step(t).unwrap();
+            let expected = reference_step(&mut slow, t, input);
+            let actual = fast.step(t, input);
+            match (&expected, &actual) {
+                (Ok(_), Ok(_)) => {
+                    coverage.steps += 1;
+                    coverage.any_values += fast
+                        .ws
+                        .env
+                        .iter()
+                        .filter(|r| matches!(r, Res::Any(_)))
+                        .count();
+                }
+                (Err(e), Err(_)) => {
+                    coverage.errors.insert(match e {
+                        SignalError::SynchronizationViolation { .. } => "sync",
+                        SignalError::NotExecutable { .. } => "not-executable",
+                        SignalError::MultipleDefinitions { .. } => "multiple",
+                        SignalError::TypeError { .. } => "type",
+                        _ => "other",
+                    });
+                }
+                _ => {}
+            }
+            assert_eq!(
+                format!("{expected:?}"),
+                format!("{actual:?}"),
+                "instant {t} of {p:?}"
+            );
+            assert_eq!(slow.memory(), fast.memory(), "instant {t} of {p:?}");
+            if actual.is_err() {
+                break;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The semi-naive evaluator replays the exhaustive reference
+        /// exactly: same resolved steps, memories, errors and messages.
+        #[test]
+        fn semi_naive_fixpoint_replays_the_exhaustive_loop(seed in proptest::prelude::any::<u64>()) {
+            let mut s = Stream(seed);
+            let mut coverage = Coverage::default();
+            for _ in 0..8 {
+                let p = random_process(&mut s);
+                let len = 1 + s.below(8);
+                let inputs = random_inputs(&mut s, len);
+                assert_replays_reference(&p, &inputs, &mut coverage);
+            }
+        }
+    }
+
+    #[test]
+    fn equivalence_generator_reaches_every_outcome() {
+        let mut coverage = Coverage::default();
+        let mut s = Stream(1);
+        for _ in 0..1000 {
+            let p = random_process(&mut s);
+            let len = 1 + s.below(8);
+            let inputs = random_inputs(&mut s, len);
+            assert_replays_reference(&p, &inputs, &mut coverage);
+        }
+        assert!(
+            coverage.steps > 200,
+            "only {} executed steps",
+            coverage.steps
+        );
+        assert!(coverage.any_values > 0, "no constant kept its free clock");
+        for kind in ["sync", "not-executable", "multiple"] {
+            assert!(
+                coverage.errors.contains(kind),
+                "no `{kind}` error in {:?}",
+                coverage.errors
+            );
+        }
     }
 }

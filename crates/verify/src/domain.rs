@@ -321,14 +321,16 @@ pub struct SlotAbstraction {
 /// are matched, how the process's signals are spelled in the
 /// property-visible namespace, and whether deadlock freedom is among the
 /// checked properties.
-struct ReadSet {
-    names: BTreeSet<String>,
-    patterns: BTreeSet<String>,
+pub(crate) struct ReadSet {
+    /// Signal names read exactly (`signal`/`present` atoms).
+    pub(crate) names: BTreeSet<String>,
+    /// Glob patterns of `raised(...)` atoms.
+    pub(crate) patterns: BTreeSet<String>,
     deadlock: bool,
 }
 
 impl ReadSet {
-    fn of_properties(properties: &[Property]) -> Self {
+    pub(crate) fn of_properties(properties: &[Property]) -> Self {
         let mut names = BTreeSet::new();
         let mut patterns = BTreeSet::new();
         let mut deadlock = false;
@@ -347,7 +349,7 @@ impl ReadSet {
 
     /// Is the signal spelled `<prefix><signal>` in the property namespace
     /// read by any atom?
-    fn reads(&self, prefix: &str, signal: &str) -> bool {
+    pub(crate) fn reads(&self, prefix: &str, signal: &str) -> bool {
         let visible = if prefix.is_empty() {
             signal.to_string()
         } else {

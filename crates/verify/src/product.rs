@@ -37,14 +37,14 @@ use std::collections::{HashMap, HashSet};
 
 use polysim::Simulator;
 use serde::{Deserialize, Serialize};
-use signal_moc::eval::Evaluator;
+use signal_moc::eval::{Evaluator, ResolvedStep};
 use signal_moc::process::Process;
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::Value;
 use signal_moc::InstantView;
 
 use crate::counterexample::{Counterexample, ReplayReport};
-use crate::domain::SlotAbstraction;
+use crate::domain::{ReadSet, SlotAbstraction};
 use crate::engine::{self, Expander, Sink};
 use crate::explore::{VerificationOutcome, VerifyError, VerifyOptions};
 use crate::monitor::{compile_properties, CompiledProperty};
@@ -501,14 +501,22 @@ impl<'a> LockstepCoSim<'a> {
 /// The exploration runs on the shared exploration engine (an interned
 /// chain of joint states); the frontier of the deterministic product is a
 /// single state per level, so the run is sequential regardless of
-/// [`VerifyOptions::workers`]. The per-instant work is cut instead by
-/// *memoizing* each component's resolved instants, keyed by its scheduler
-/// phase and local operator memory (gated by [`VerifyOptions::pruning`]):
-/// whenever a component's local state recurs before the joint product
-/// closes — periods divide the hyper-period, so components cycle much
-/// faster than the product — its cached resolved step and successor memory
-/// are replayed without touching the evaluator. The memo key fully
-/// determines the evaluator result, so verdicts, counterexamples and
+/// [`VerifyOptions::workers`]. Each component is stepped through its
+/// evaluator's borrowed resolved instant, and the monitors read the joint
+/// instant through an *observation table* built once per run: every joint
+/// signal the properties can read (exact atoms, the signals a `raised`
+/// glob matches, and the link-derived joints), sorted by joint name and
+/// mapped to its source — a component signal id or a link's activity. A
+/// component's step therefore keeps only the values of its observed
+/// signals, never a name-keyed step.
+///
+/// Those observed values and the successor memory are *memoized* per
+/// component, keyed by its scheduler phase and local operator memory
+/// (gated by [`VerifyOptions::pruning`]): whenever a component's local
+/// state recurs before the joint product closes — periods divide the
+/// hyper-period, so components cycle much faster than the product — its
+/// cached row is replayed without touching the evaluator. The memo key
+/// fully determines the evaluator result, so verdicts, counterexamples and
 /// exploration counts are bit-identical with the memo on or off; the memo's
 /// own activity is reported in
 /// [`ExplorationStats::memo_hits`](crate::ExplorationStats) and
@@ -662,45 +670,7 @@ impl ProductVerifier {
             .map(|c| Evaluator::new(&c.process))
             .collect::<Result<Vec<_>, _>>()?;
         let widths: Vec<usize> = evaluators.iter().map(Evaluator::memory_len).collect();
-        let link_targets: Vec<usize> = self
-            .system
-            .links
-            .iter()
-            .map(|link| {
-                self.system
-                    .components
-                    .iter()
-                    .position(|c| c.name == link.target)
-                    .expect("validated at construction")
-            })
-            .collect();
-        let comp_prefixes: Vec<String> = self
-            .system
-            .components
-            .iter()
-            .map(|c| format!("{}_", c.name))
-            .collect();
-        let link_prefixes: Vec<String> = self
-            .system
-            .links
-            .iter()
-            .map(|l| format!("{}_", l.name))
-            .collect();
-        // Joint-namespace iteration order: entity prefixes are mutually
-        // prefix-free (validated at construction), so each entity's signals
-        // occupy a contiguous range of the name-sorted joint instant and
-        // sorting the blocks by prefix reproduces the global order.
-        let mut blocks: Vec<JointBlock> = (0..comp_prefixes.len())
-            .map(JointBlock::Component)
-            .chain((0..link_prefixes.len()).map(JointBlock::Link))
-            .collect();
-        blocks.sort_by(|a, b| {
-            let prefix = |block: &JointBlock| match *block {
-                JointBlock::Component(i) => comp_prefixes[i].as_str(),
-                JointBlock::Link(k) => link_prefixes[k].as_str(),
-            };
-            prefix(a).cmp(prefix(b))
-        });
+        let table = ObservationTable::new(&self.system, &evaluators, properties);
 
         let monitor_count = initial_monitors.len();
         let mut initial = self.product_state(&evaluators, 0, &initial_monitors);
@@ -711,10 +681,7 @@ impl ProductVerifier {
             verifier: self,
             evaluators,
             widths,
-            link_targets,
-            comp_prefixes,
-            link_prefixes,
-            blocks,
+            table,
             compiled: &compiled,
             properties,
             deadlock_idx,
@@ -858,24 +825,134 @@ impl ProductVerifier {
     }
 }
 
-/// One entity of the joint namespace, in name-sorted block order.
+/// Where the value of one observed joint signal comes from.
 #[derive(Debug, Clone, Copy)]
-enum JointBlock {
-    /// Component index: its resolved signals appear as `<component>_<s>`.
-    Component(usize),
-    /// Link index: the derived `_consumed`/`_received`/`_sent` signals
-    /// (listed here in their name-sorted suffix order).
-    Link(usize),
+enum Source {
+    /// Column `column` of component `component`'s observed row.
+    Component { component: usize, column: usize },
+    /// Link `k` released an event at this phase.
+    Sent(usize),
+    /// An event of link `k` is delivered at this phase.
+    Received(usize),
+    /// The target of link `k` froze a non-empty FIFO at this instant.
+    Consumed(usize),
+}
+
+/// The joint signals the compiled properties can read, built once per
+/// exploration: exact atoms, every joint name a `raised(glob)` matches,
+/// and the link-derived joints, each mapped to its [`Source`].
+#[derive(Debug)]
+struct ObservationTable {
+    /// Observed joint signals, sorted by joint name.
+    entries: Vec<(String, Source)>,
+    /// Per component: the signal ids its observed row holds, in column
+    /// order.
+    columns: Vec<Vec<u32>>,
+    /// Per link: how its `consumed` joint is derived, if it has one.
+    consumed: Vec<Option<ConsumedFrom>>,
+}
+
+/// The target-side columns a link's `consumed` joint is derived from.
+#[derive(Debug, Clone, Copy)]
+struct ConsumedFrom {
+    /// The link's target component.
+    target: usize,
+    /// Columns of the freeze marker and the frozen count in the target's
+    /// row (`None` when the target process has no such signal, which then
+    /// never counts as true).
+    freeze: Option<usize>,
+    count: Option<usize>,
+}
+
+impl ObservationTable {
+    fn new(system: &ProductSystem, evaluators: &[Evaluator], properties: &[Property]) -> Self {
+        let reads = ReadSet::of_properties(properties);
+        let mut columns: Vec<Vec<u32>> = vec![Vec::new(); evaluators.len()];
+        // The column of `signal` in component `component`'s row, added on
+        // first use.
+        let mut column_of = |component: usize, signal: &str| {
+            let id = evaluators[component].signal_id(signal)?;
+            let row = &mut columns[component];
+            Some(match row.iter().position(|&c| c == id) {
+                Some(column) => column,
+                None => {
+                    row.push(id);
+                    row.len() - 1
+                }
+            })
+        };
+        let mut entries = Vec::new();
+        for (component, c) in system.components.iter().enumerate() {
+            let prefix = format!("{}_", c.name);
+            for decl in &c.process.signals {
+                if reads.reads(&prefix, &decl.name) {
+                    let column = column_of(component, &decl.name)
+                        .expect("a declared signal has an evaluator id");
+                    entries.push((
+                        format!("{prefix}{}", decl.name),
+                        Source::Component { component, column },
+                    ));
+                }
+            }
+        }
+        let mut consumed = Vec::with_capacity(system.links.len());
+        for (k, link) in system.links.iter().enumerate() {
+            let mut derived = vec![
+                (link.sent_signal(), Source::Sent(k)),
+                (link.received_signal(), Source::Received(k)),
+            ];
+            consumed.push(match (&link.target_freeze, &link.target_count) {
+                (Some(freeze), Some(count)) => {
+                    let target = system
+                        .components
+                        .iter()
+                        .position(|c| c.name == link.target)
+                        .expect("validated at construction");
+                    derived.push((link.consumed_signal(), Source::Consumed(k)));
+                    Some(ConsumedFrom {
+                        target,
+                        freeze: column_of(target, freeze),
+                        count: column_of(target, count),
+                    })
+                }
+                _ => None,
+            });
+            entries.extend(
+                derived
+                    .into_iter()
+                    .filter(|(name, _)| reads.reads("", name)),
+            );
+        }
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        Self {
+            entries,
+            columns,
+            consumed,
+        }
+    }
+
+    /// Appends component `component`'s observed row of the resolved
+    /// instant `step` to `row`.
+    fn record(&self, component: usize, step: &ResolvedStep<'_>, row: &mut Vec<Option<Value>>) {
+        row.extend(
+            self.columns[component]
+                .iter()
+                .map(|&id| step.value_by_id(id).cloned()),
+        );
+    }
 }
 
 /// Memo of one component's resolved instants, keyed by scheduler phase and
 /// the component's encoded operator memory — which fully determine the
-/// evaluator result, since the wired input of a phase is fixed.
+/// evaluator result, since the wired input of a phase is fixed. Row `r`
+/// holds the component's observed values and its successor memory, in two
+/// flat arenas.
 #[derive(Default)]
 struct ComponentMemo {
     index: HashMap<Box<[u8]>, u32>,
-    steps: Vec<TraceStep>,
-    memories: Vec<Vec<Value>>,
+    rows: u32,
+    observed: Vec<Option<Value>>,
+    memories: Vec<Value>,
 }
 
 /// The [`Expander`] of a synchronous product: one deterministic edge per
@@ -888,14 +965,7 @@ struct ProductExpander<'a> {
     /// Operator-memory width of each component inside the concatenated
     /// joint memory.
     widths: Vec<usize>,
-    /// Component index of each link's target.
-    link_targets: Vec<usize>,
-    /// `<name>_` joint-namespace prefixes, per component and per link.
-    comp_prefixes: Vec<String>,
-    link_prefixes: Vec<String>,
-    /// Entity blocks sorted by prefix: the global name-sorted iteration
-    /// order of a joint instant.
-    blocks: Vec<JointBlock>,
+    table: ObservationTable,
     compiled: &'a [CompiledProperty],
     properties: &'a [Property],
     deadlock_idx: Option<usize>,
@@ -913,13 +983,12 @@ struct ProductCtx {
     monitors: Vec<u32>,
     succ_monitors: Vec<u32>,
     memory: Vec<Value>,
+    /// One component's successor memory, before it joins its memo row.
+    component_memory: Vec<Value>,
     memo_key: Vec<u8>,
     memos: Vec<ComponentMemo>,
-    /// Per-component memo-arena index of the current instant's resolution.
-    resolved: Vec<u32>,
-    /// Per-link `consumed` joint of the current instant (`None` when the
-    /// link does not derive one).
-    consumed: Vec<Option<bool>>,
+    /// Per-component memo row of the current instant.
+    rows: Vec<u32>,
 }
 
 static BOOL_TRUE: Value = Value::Bool(true);
@@ -933,86 +1002,62 @@ fn bool_value(b: bool) -> &'static Value {
     }
 }
 
-/// Borrow-only [`InstantView`] of one joint instant: the per-component
-/// resolved steps (through the memo arena) plus the link-derived joints,
-/// visited in global name-sorted order without materialising the joint
+/// Borrow-only [`InstantView`] of one joint instant, backed by the
+/// [`ObservationTable`]: each observed joint signal reads its component's
+/// memo row or its link's activity, without materialising the joint
 /// `TraceStep`.
 struct JointView<'a> {
-    expander: &'a ProductExpander<'a>,
+    table: &'a ObservationTable,
+    activity: &'a [LinkActivity],
     memos: &'a [ComponentMemo],
-    resolved: &'a [u32],
-    consumed: &'a [Option<bool>],
+    rows: &'a [u32],
     phase: usize,
 }
 
-impl JointView<'_> {
-    fn component_step(&self, component: usize) -> &TraceStep {
-        &self.memos[component].steps[self.resolved[component] as usize]
+impl<'a> JointView<'a> {
+    fn column(&self, component: usize, column: usize) -> Option<&'a Value> {
+        let width = self.table.columns[component].len();
+        self.memos[component].observed[self.rows[component] as usize * width + column].as_ref()
+    }
+
+    fn value(&self, source: Source) -> Option<&'a Value> {
+        match source {
+            Source::Component { component, column } => self.column(component, column),
+            Source::Sent(k) => Some(bool_value(self.activity[k].sent[self.phase])),
+            Source::Received(k) => Some(bool_value(self.activity[k].received[self.phase])),
+            Source::Consumed(k) => {
+                let from = self.table.consumed[k].expect("only consuming links derive the joint");
+                let truth = |column: Option<usize>| {
+                    column
+                        .and_then(|c| self.column(from.target, c))
+                        .is_some_and(Value::as_bool)
+                };
+                Some(bool_value(truth(from.freeze) && truth(from.count)))
+            }
+        }
     }
 }
 
 impl InstantView for JointView<'_> {
     fn value_of(&self, name: &str) -> Option<&Value> {
-        // At most one prefix matches: entity names are validated to be
-        // prefix-unambiguous at product construction.
-        for (i, prefix) in self.expander.comp_prefixes.iter().enumerate() {
-            if let Some(local) = name.strip_prefix(prefix.as_str()) {
-                return self.component_step(i).get(local);
-            }
-        }
-        let system = &self.expander.verifier.system;
-        for (k, prefix) in self.expander.link_prefixes.iter().enumerate() {
-            if let Some(kind) = name.strip_prefix(prefix.as_str()) {
-                let activity = &system.activity[k];
-                return match kind {
-                    "sent" => Some(bool_value(activity.sent[self.phase])),
-                    "received" => Some(bool_value(activity.received[self.phase])),
-                    "consumed" => self.consumed[k].map(bool_value),
-                    _ => None,
-                };
-            }
-        }
-        None
+        let at = self
+            .table
+            .entries
+            .binary_search_by(|(entry, _)| entry.as_str().cmp(name))
+            .ok()?;
+        self.value(self.table.entries[at].1)
     }
 
     fn first_present_matching(
         &self,
         accept: &mut dyn FnMut(&str, &Value) -> bool,
     ) -> Option<String> {
-        let system = &self.expander.verifier.system;
-        let mut joint = String::new();
-        for block in &self.expander.blocks {
-            match *block {
-                JointBlock::Component(i) => {
-                    let prefix = &self.expander.comp_prefixes[i];
-                    for (local, value) in self.component_step(i).iter() {
-                        joint.clear();
-                        joint.push_str(prefix);
-                        joint.push_str(local);
-                        if accept(&joint, value) {
-                            return Some(joint);
-                        }
-                    }
-                }
-                JointBlock::Link(k) => {
-                    let activity = &system.activity[k];
-                    let suffixes = [
-                        self.consumed[k].map(|b| ("consumed", bool_value(b))),
-                        Some(("received", bool_value(activity.received[self.phase]))),
-                        Some(("sent", bool_value(activity.sent[self.phase]))),
-                    ];
-                    for (suffix, value) in suffixes.into_iter().flatten() {
-                        joint.clear();
-                        joint.push_str(&self.expander.link_prefixes[k]);
-                        joint.push_str(suffix);
-                        if accept(&joint, value) {
-                            return Some(joint);
-                        }
-                    }
-                }
-            }
-        }
-        None
+        // The table holds every joint name a `raised` glob can match, in
+        // name order, so its first accepted entry is the instant's.
+        self.table.entries.iter().find_map(|(name, source)| {
+            let value = self.value(*source)?;
+            accept(name, value).then(|| name.clone())
+        })
     }
 }
 
@@ -1026,14 +1071,14 @@ impl Expander for ProductExpander<'_> {
             monitors: Vec::new(),
             succ_monitors: Vec::new(),
             memory: Vec::new(),
+            component_memory: Vec::new(),
             memo_key: Vec::new(),
             memos: self
                 .evaluators
                 .iter()
                 .map(|_| ComponentMemo::default())
                 .collect(),
-            resolved: Vec::new(),
-            consumed: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
@@ -1053,10 +1098,11 @@ impl Expander for ProductExpander<'_> {
         // Resolve every component at this phase through its memo; without
         // memoization the arenas are drained so they only ever hold the
         // current instant.
-        ctx.resolved.clear();
+        ctx.rows.clear();
         if !self.memoize {
             for memo in &mut ctx.memos {
-                memo.steps.clear();
+                memo.rows = 0;
+                memo.observed.clear();
                 memo.memories.clear();
             }
         }
@@ -1073,8 +1119,8 @@ impl Expander for ProductExpander<'_> {
                 state::encode_value(value, &mut ctx.memo_key);
             }
             if self.memoize {
-                if let Some(&at) = ctx.memos[i].index.get(ctx.memo_key.as_slice()) {
-                    ctx.resolved.push(at);
+                if let Some(&row) = ctx.memos[i].index.get(ctx.memo_key.as_slice()) {
+                    ctx.rows.push(row);
                     hits += 1;
                     continue;
                 }
@@ -1082,16 +1128,18 @@ impl Expander for ProductExpander<'_> {
             let evaluator = &mut ctx.evaluators[i];
             evaluator.restore_memory(parent)?;
             let input = system.wired[i].step(phase).unwrap_or(&empty);
-            match evaluator.step(depth, input) {
+            let memo = &mut ctx.memos[i];
+            match evaluator.step_resolved(depth, input) {
                 Ok(step) => {
-                    let memo = &mut ctx.memos[i];
-                    let at = memo.steps.len() as u32;
-                    memo.steps.push(step);
-                    memo.memories.push(evaluator.memory());
+                    let row = memo.rows;
+                    memo.rows += 1;
+                    self.table.record(i, &step, &mut memo.observed);
+                    evaluator.memory_into(&mut ctx.component_memory);
+                    memo.memories.extend_from_slice(&ctx.component_memory);
                     if self.memoize {
-                        memo.index.insert(ctx.memo_key.as_slice().into(), at);
+                        memo.index.insert(ctx.memo_key.as_slice().into(), row);
                     }
-                    ctx.resolved.push(at);
+                    ctx.rows.push(row);
                 }
                 Err(e) => {
                     // The joint execution cannot continue past a
@@ -1122,32 +1170,14 @@ impl Expander for ProductExpander<'_> {
         sink.memo_hit(hits);
         sink.memo_miss(self.widths.len() - hits);
 
-        // Link `consumed` joints of this instant: the target's Input Time
-        // fired with a non-empty frozen FIFO. Only derived when the link
-        // declares both signals.
-        ctx.consumed.clear();
-        for (k, link) in system.links.iter().enumerate() {
-            let flag = match (&link.target_freeze, &link.target_count) {
-                (Some(freeze), Some(count)) => {
-                    let step = &ctx.memos[self.link_targets[k]].steps
-                        [ctx.resolved[self.link_targets[k]] as usize];
-                    let froze = step.get(freeze).map(Value::as_bool).unwrap_or(false);
-                    let nonempty = step.get(count).map(Value::as_bool).unwrap_or(false);
-                    Some(froze && nonempty)
-                }
-                _ => None,
-            };
-            ctx.consumed.push(flag);
-        }
-
-        // Monitor steps on the borrowed joint view (a violating monitor
-        // keeps running, so every property gets its earliest
+        // Monitor steps on the table-backed joint view (a violating
+        // monitor keeps running, so every property gets its earliest
         // counterexample).
         let view = JointView {
-            expander: self,
+            table: &self.table,
+            activity: &system.activity,
             memos: &ctx.memos,
-            resolved: &ctx.resolved,
-            consumed: &ctx.consumed,
+            rows: &ctx.rows,
             phase,
         };
         ctx.succ_monitors.clear();
@@ -1164,9 +1194,11 @@ impl Expander for ProductExpander<'_> {
         }
 
         ctx.memory.clear();
-        for (i, &at) in ctx.resolved.iter().enumerate() {
+        for (i, &row) in ctx.rows.iter().enumerate() {
+            let width = self.widths[i];
+            let at = row as usize * width;
             ctx.memory
-                .extend_from_slice(&ctx.memos[i].memories[at as usize]);
+                .extend_from_slice(&ctx.memos[i].memories[at..at + width]);
         }
         if let Some(abstraction) = self.abstraction {
             let widened = abstraction.normalize(&mut ctx.memory);
@@ -1200,6 +1232,8 @@ impl Expander for ProductExpander<'_> {
 mod tests {
     use super::*;
     use crate::explore::Verdict;
+    use crate::ltl::{Formula, LtlProperty};
+    use crate::property::pattern_matches;
     use signal_moc::builder::ProcessBuilder;
     use signal_moc::expr::Expr;
     use signal_moc::value::ValueType;
@@ -1535,5 +1569,205 @@ mod tests {
             verifier.verify(&[]),
             Err(VerifyError::NoProperties)
         ));
+    }
+
+    /// A splitmix64 stream driving the random products and formulas.
+    struct Stream(u64);
+
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// The randomised linear pipeline of the engine-determinism pins:
+    /// event-counting stages chained by latency links, stage `i`
+    /// dispatching every `periods[i]` ticks. Links also derive `_consumed`
+    /// joints, some over a freeze marker the target does not have.
+    fn random_pipeline(s: &mut Stream) -> ProductSystem {
+        fn stage(name: &str, threshold: i64) -> Process {
+            let mut b = ProcessBuilder::new(name);
+            b.input("Dispatch", ValueType::Boolean);
+            b.input("out_output_time", ValueType::Boolean);
+            b.input("in_in", ValueType::Boolean);
+            b.output("Alarm", ValueType::Boolean);
+            b.local("seen", ValueType::Integer);
+            let prev = Expr::delay(Expr::var("seen"), Value::Int(0));
+            b.define(
+                "seen",
+                Expr::add(
+                    prev,
+                    Expr::default(Expr::when(Expr::int(1), Expr::var("in_in")), Expr::int(0)),
+                ),
+            );
+            b.define("Alarm", Expr::ge(Expr::var("seen"), Expr::int(threshold)));
+            b.synchronize(&["Dispatch", "out_output_time", "in_in", "seen", "Alarm"]);
+            b.build().unwrap()
+        }
+        let count = 2 + s.below(2);
+        let horizon = 4 + s.below(5);
+        let threshold = 1 + s.below(4) as i64;
+        let latency = s.below(3);
+        let mut components = Vec::new();
+        for i in 0..count {
+            let period = 1 + s.below(4);
+            let mut schedule = Trace::new();
+            for t in 0..horizon {
+                schedule.set(t, "Dispatch", Value::Bool(t % period == 0));
+                schedule.set(t, "out_output_time", Value::Bool(t % period == period - 1));
+                schedule.set(t, "in_in", Value::Bool(false));
+            }
+            components.push(ProductComponent {
+                name: format!("s{i}"),
+                process: stage(&format!("stage{i}"), threshold),
+                schedule,
+            });
+        }
+        let links = (1..count)
+            .map(|i| {
+                let (target_freeze, target_count) = match s.below(3) {
+                    0 => (None, None),
+                    1 => (Some("in_in".into()), Some("seen".into())),
+                    _ => (Some("ghost".into()), Some("seen".into())),
+                };
+                PortLink {
+                    name: format!("l{}{}", i - 1, i),
+                    source: format!("s{}", i - 1),
+                    source_signal: "out_output_time".into(),
+                    target: format!("s{i}"),
+                    target_signal: "in_in".into(),
+                    target_freeze,
+                    target_count,
+                    latency,
+                }
+            })
+            .collect();
+        ProductSystem::new(components, links).unwrap()
+    }
+
+    /// A random past-time LTL formula over `pool`, shaped like the vopr
+    /// harness's `random_formula`, with prefix and suffix globs as well.
+    fn random_formula(s: &mut Stream, pool: &[String], depth: usize) -> Formula {
+        let pick = |s: &mut Stream| pool[s.below(pool.len())].clone();
+        if depth == 0 || s.below(4) == 0 {
+            return match s.below(6) {
+                0 => Formula::Const(s.below(2) == 0),
+                1 => Formula::present(pick(s)),
+                2 => Formula::signal(pick(s)),
+                3 => Formula::raised(format!("*{}*", pick(s))),
+                4 => {
+                    let name = pick(s);
+                    let cut = s.below(name.len() + 1);
+                    Formula::raised(format!("{}*", &name[..cut]))
+                }
+                _ => {
+                    let name = pick(s);
+                    let cut = s.below(name.len() + 1);
+                    Formula::raised(format!("*{}", &name[cut..]))
+                }
+            };
+        }
+        let sub = |s: &mut Stream| random_formula(s, pool, depth - 1);
+        match s.below(9) {
+            0 => Formula::not(sub(s)),
+            1 => Formula::and(sub(s), sub(s)),
+            2 => Formula::or(sub(s), sub(s)),
+            3 => Formula::implies(sub(s), sub(s)),
+            4 => Formula::previously(sub(s)),
+            5 => Formula::once(sub(s)),
+            6 => Formula::historically(sub(s)),
+            7 => Formula::since(sub(s), sub(s)),
+            _ => {
+                let (trigger, response) = (sub(s), sub(s));
+                Formula::within(trigger, response, 1 + s.below(3) as u32)
+            }
+        }
+    }
+
+    #[test]
+    fn observation_table_answers_like_the_materialised_joint_step() {
+        let mut s = Stream(7);
+        for _ in 0..64 {
+            let system = random_pipeline(&mut s);
+            let mut pool: Vec<String> = Vec::new();
+            for c in system.components() {
+                for decl in &c.process.signals {
+                    pool.push(format!("{}_{}", c.name, decl.name));
+                }
+                pool.push(format!("{}_ghost", c.name));
+            }
+            for link in system.links() {
+                pool.extend([
+                    link.sent_signal(),
+                    link.received_signal(),
+                    link.consumed_signal(),
+                ]);
+            }
+            let mut properties: Vec<Property> = (0..1 + s.below(3))
+                .map(|_| Property::Ltl(LtlProperty::always(random_formula(&mut s, &pool, 3))))
+                .collect();
+            if s.below(2) == 0 {
+                properties.push(Property::NeverRaised("*Alarm*".into()));
+            }
+
+            let mut evaluators: Vec<Evaluator> = system
+                .components()
+                .iter()
+                .map(|c| Evaluator::new(&c.process).unwrap())
+                .collect();
+            let mut materialising = evaluators.clone();
+            let table = ObservationTable::new(&system, &evaluators, &properties);
+            let reads = ReadSet::of_properties(&properties);
+            let mut memos: Vec<ComponentMemo> = evaluators
+                .iter()
+                .map(|_| ComponentMemo::default())
+                .collect();
+            let rows = vec![0u32; evaluators.len()];
+            for tick in 0..2 * system.horizon() {
+                let phase = tick % system.horizon();
+                let mut steps = Vec::new();
+                for (i, evaluator) in evaluators.iter_mut().enumerate() {
+                    let input = system.wired[i].step(phase).unwrap();
+                    let step = evaluator.step_resolved(tick, input).unwrap();
+                    memos[i].observed.clear();
+                    table.record(i, &step, &mut memos[i].observed);
+                    steps.push(materialising[i].step(tick, input).unwrap());
+                }
+                let joint = system.joint_resolved(phase, &steps);
+                let view = JointView {
+                    table: &table,
+                    activity: &system.activity,
+                    memos: &memos,
+                    rows: &rows,
+                    phase,
+                };
+                for atom in &reads.names {
+                    assert_eq!(view.value_of(atom), joint.value_of(atom), "atom `{atom}`");
+                }
+                for glob in &reads.patterns {
+                    let raised =
+                        |name: &str, value: &Value| pattern_matches(glob, name) && value.as_bool();
+                    assert_eq!(
+                        view.first_present_matching(&mut { raised }),
+                        joint.first_present_matching(&mut { raised }),
+                        "glob `{glob}`"
+                    );
+                    let present = |name: &str, _: &Value| pattern_matches(glob, name);
+                    assert_eq!(
+                        view.first_present_matching(&mut { present }),
+                        joint.first_present_matching(&mut { present }),
+                        "glob `{glob}`"
+                    );
+                }
+            }
+        }
     }
 }

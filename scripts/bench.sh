@@ -12,10 +12,10 @@
 # state counts, peak frontier and wall time of the headline workloads,
 # daemon warm-vs-cold and the symbolic_closure headline (see
 # crates/bench/examples/bench_snapshot.rs). Numbered
-# snapshots accumulate as the performance trajectory of the repo: BENCH_1
-# is the baseline CI gates against, later indices track where each
-# optimisation landed. CI replays the state_space suite and fails when a
-# headline throughput drops more than 30% below BENCH_1.json.
+# snapshots accumulate as the performance trajectory of the repo, each
+# index tracking where an optimisation landed. CI replays the state_space
+# suite and fails when a headline throughput drops more than 30% below
+# the snapshot named in .github/workflows/ci.yml.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
